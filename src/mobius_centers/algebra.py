@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .linalg import SparseVector, format_rational, parse_rational
 from .perm import (
@@ -54,9 +55,12 @@ __all__ = [
     "involve",
     "right_complements",
     "gram_matrix",
+    "gram_rows",
     "RelationCheck",
     "RelationReport",
     "check_defining_relations",
+    "generator_terms",
+    "commutator_terms",
     "single_term_actions",
     "element_to_vector",
     "vector_to_element",
@@ -303,6 +307,15 @@ def gram_matrix(n: int, params: AlgebraParams) -> list[list[Fraction]]:
     return [[trace(mul(x, y)) for y in elements] for x in elements]
 
 
+def gram_rows(n: int, params: AlgebraParams) -> list[SparseVector]:
+    """The rows of ``gram_matrix(n, params)`` as sparse vectors."""
+    order = symmetric_group(n).order
+    return [
+        SparseVector(order, {v: c for v, c in enumerate(row) if c})
+        for row in gram_matrix(n, params)
+    ]
+
+
 @dataclass(frozen=True)
 class RelationCheck:
     name: str
@@ -341,6 +354,54 @@ def check_defining_relations(n: int, params: AlgebraParams) -> RelationReport:
     return RelationReport(n, params, tuple(checks))
 
 
+def generator_terms(
+    n: int, params: AlgebraParams, i: int, left: bool
+) -> Iterator[tuple[tuple[int, int | Fraction], ...]]:
+    """The terms of ``T_i * T_k`` (left) or ``T_k * T_i`` (right), for each
+    basis index k in order, as (index, coefficient) pairs.
+
+    Each product has at most two terms, read off the integer tables of
+    ``symmetric_group(n)``: the moved element when the length goes up,
+    otherwise ``a T_k`` and ``b`` times the moved element, zeros dropped.
+    Coefficients are ints when integral, Fractions otherwise.
+    """
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index must be in 1..{n - 1}, got {i}")
+    table = symmetric_group(n)
+    lengths = table.lengths
+    a, b = (c.numerator if c.denominator == 1 else c for c in (params.a, params.b))
+    for k, m in enumerate((table.lmul if left else table.rmul)[i - 1]):
+        if lengths[m] > lengths[k]:
+            yield ((m, 1),)
+        elif a and b:
+            yield ((k, a), (m, b))
+        elif a:
+            yield ((k, a),)
+        elif b:
+            yield ((m, b),)
+        else:
+            yield ()
+
+
+def commutator_terms(
+    n: int, params: AlgebraParams, i: int, j: int
+) -> Iterator[dict[int, int | Fraction]]:
+    """``T_i * T_k - T_k * T_j`` for each basis index k in order, as a dict of
+    nonzero coefficients keyed by basis index."""
+    for left, right in zip(
+        generator_terms(n, params, i, left=True),
+        generator_terms(n, params, j, left=False),
+    ):
+        diff = dict(left)
+        for u, c in right:
+            c = diff.get(u, 0) - c
+            if c:
+                diff[u] = c
+            else:
+                del diff[u]
+        yield diff
+
+
 def single_term_actions(
     n: int, params: AlgebraParams
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -356,25 +417,14 @@ def single_term_actions(
             "single-term action tables require a preset algebra "
             "(nilcoxeter, 0-hecke or group)"
         )
-    table = symmetric_group(n)
-    lengths = table.lengths
-
-    def resolve(k: int, moved: int) -> int:
-        if lengths[moved] > lengths[k]:
-            return moved
-        if params == NILCOXETER:
-            return -1
-        if params == ZERO_HECKE:
-            return k
-        return moved
-
-    left = tuple(
-        tuple(resolve(k, table.lmul[i][k]) for k in range(table.order))
-        for i in range(n - 1)
-    )
-    right = tuple(
-        tuple(resolve(k, table.rmul[i][k]) for k in range(table.order))
-        for i in range(n - 1)
+    # In each preset one of a, b is 0 and the other is 0 or 1, so every
+    # product is a single basis element with coefficient 1, or nothing.
+    left, right = (
+        tuple(
+            tuple(t[0][0] if t else -1 for t in generator_terms(n, params, i, side))
+            for i in range(1, n)
+        )
+        for side in (True, False)
     )
     return left, right
 

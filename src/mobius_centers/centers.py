@@ -23,10 +23,11 @@ from .algebra import (
     ZERO_HECKE,
     AlgebraElement,
     AlgebraParams,
-    basis_element,
+    commutator_terms,
     element_to_json,
     element_to_vector,
     gram_matrix,
+    gram_rows,
     mul,
     mul_left_generator,
     mul_right_generator,
@@ -69,20 +70,20 @@ def _constraint_rows(n: int, params: AlgebraParams, twisted: bool) -> list[Spars
     """Rows of the linear system cutting out the (twisted) center.
 
     Row (i, u) collects, over columns v, the coefficient of T_u in
-    T_i T_v - T_v T_i (plain) or T_v T_i - T_{n-i} T_v (twisted).
+    T_i T_v - T_v T_i (plain) or T_v T_i - T_{n-i} T_v (twisted).  These are
+    the transposed generator commutators; the twisted ones are those of
+    generator n - i, negated.
     """
-    table = symmetric_group(n)
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    order = symmetric_group(n).order
+    sign = -1 if twisted else 1
+    out = []
     for i in range(1, n):
-        for k, w in enumerate(table.perms):
-            x = basis_element(params, w)
-            if twisted:
-                diff = mul_right_generator(x, i) - mul_left_generator(n - i, x)
-            else:
-                diff = mul_left_generator(i, x) - mul_right_generator(x, i)
-            for u, c in diff.terms.items():
-                rows.setdefault((i, table.rank(u)), {})[k] = c
-    return [SparseVector(table.order, r) for r in rows.values()]
+        rows: dict[int, dict[int, int | Fraction]] = {}
+        for k, diff in enumerate(commutator_terms(n, params, n - i if twisted else i, i)):
+            for u, c in diff.items():
+                rows.setdefault(u, {})[k] = sign * c
+        out.extend(SparseVector(order, r) for r in rows.values())
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -129,25 +130,11 @@ def nc_center_basis(n: int) -> CenterBasis:
     """
     classes = mobius_classes(n, NILCOXETER)
     w0 = longest_element(n)
-    labels, elements = [], []
-    for members in classes.classes:
-        terms = {compose(inverse(w), w0): _ONE for w in members}
-        labels.append(_class_representative(members))
-        elements.append(AlgebraElement(n, NILCOXETER, terms))
-    return CenterBasis(n, NILCOXETER, tuple(labels), tuple(elements))
-
-
-def _class_representative(members: frozenset[Permutation]) -> Permutation:
-    return min(members, key=lambda w: (w.length, w.image))
-
-
-def _gram_rows(n: int, params: AlgebraParams) -> list[SparseVector]:
-    gram = gram_matrix(n, params)
-    order = symmetric_group(n).order
-    return [
-        SparseVector(order, {v: gram[u][v] for v in range(order) if gram[u][v]})
-        for u in range(order)
-    ]
+    elements = tuple(
+        AlgebraElement(n, NILCOXETER, {compose(inverse(w), w0): _ONE for w in members})
+        for members in classes.classes
+    )
+    return CenterBasis(n, NILCOXETER, classes.representatives, elements)
 
 
 @lru_cache(maxsize=None)
@@ -164,11 +151,10 @@ def dual_center_basis(n: int, params: AlgebraParams) -> CenterBasis:
         )
     classes = mobius_classes(n, params)
     central = list(center(n, params).basis)
-    rows = _gram_rows(n, params)
+    rows = gram_rows(n, params)
     table = symmetric_group(n)
     labels, elements = [], []
-    for members in classes.classes:
-        rep = _class_representative(members)
+    for members, rep in zip(classes.classes, classes.representatives):
         member_ranks = {table.rank(w) for w in members}
         constraints = [
             (rows[u], _ONE if u in member_ranks else _ZERO)

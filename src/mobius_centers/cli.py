@@ -23,7 +23,7 @@ from .algebra import (
     basis_element,
     check_defining_relations,
     element_to_json,
-    gram_matrix,
+    gram_rows,
     involve,
     mul,
     parse_algebra,
@@ -39,7 +39,7 @@ from .centers import (
     twisted_center,
     verify_hn_conjecture,
 )
-from .linalg import SparseVector, format_rational, modular_rank, random_prime
+from .linalg import format_rational
 from .partitions import center_dim_formula, expected_class_count, partitions
 from .perm import MAX_N, reduced_word, symmetric_group
 from .quotients import (
@@ -48,7 +48,6 @@ from .quotients import (
     classes_to_json,
     commutator_span,
     cycle_type,
-    generator_vectors,
     mobius_classes,
     quotient_dim,
     twisted_commutator_span,
@@ -56,8 +55,7 @@ from .quotients import (
 
 SUITES = ("relations", "frobenius", "duality", "census", "all")
 
-# Fixed seeds keep repeated runs byte-identical.
-_PRECHECK_PRIME_SEED = 2024
+# A fixed seed keeps repeated runs byte-identical.
 _FROBENIUS_PAIR_SEED = 12345
 _RANDOM_PAIR_COUNT = 10_000
 
@@ -91,8 +89,6 @@ def _cmd_dim(args) -> tuple[dict, int]:
         "formula": formula,
         "formula_applies": formula_applies,
     }
-    if args.modular_precheck == "on":
-        payload["modular_precheck"] = _run_precheck(n, params)
     rank_route = quotient_dim(n, params, twisted=True)
     commutant_route = center(n, params).dim
     agree = rank_route == commutant_route and (not formula_applies or formula == rank_route)
@@ -104,24 +100,6 @@ def _cmd_dim(args) -> tuple[dict, int]:
         }
     )
     return payload, 0 if agree else 1
-
-
-def _run_precheck(n: int, params: AlgebraParams) -> dict:
-    prime = random_prime(62, seed=_PRECHECK_PRIME_SEED)
-    calibrated = True
-    for m in range(2, min(4, n) + 1):
-        vectors = generator_vectors(m, params, twisted=True)
-        order = symmetric_group(m).order
-        if modular_rank(vectors, prime, order) != linalg.rank(vectors, order):
-            calibrated = False
-            break
-    vectors = generator_vectors(n, params, twisted=True)
-    order = symmetric_group(n).order
-    return {
-        "prime": prime,
-        "calibrated": calibrated,
-        "twisted_span_rank_mod_p": modular_rank(vectors, prime, order),
-    }
 
 
 def _cmd_classes(args) -> tuple[dict, int]:
@@ -185,15 +163,10 @@ def _suite_relations(n: int, params: AlgebraParams) -> list[dict]:
 def _suite_frobenius(n: int, params: AlgebraParams) -> list[dict]:
     table = symmetric_group(n)
     order = table.order
-    gram = gram_matrix(n, params)
-    rows = [
-        SparseVector(order, {v: gram[u][v] for v in range(order) if gram[u][v]})
-        for u in range(order)
-    ]
     checks = [
         {
             "name": f"gram matrix has full rank {order}",
-            "passed": linalg.rank(rows, order) == order,
+            "passed": linalg.rank(gram_rows(n, params), order) == order,
         }
     ]
     elements = [basis_element(params, w) for w in table.perms]
@@ -297,12 +270,6 @@ def _render_text(command: str, payload: dict) -> str:
     if command == "dim":
         lines.append(f"formula          {payload['formula']}"
                      + ("" if payload["formula_applies"] else "  (not a theorem for this algebra)"))
-        if "modular_precheck" in payload:
-            pre = payload["modular_precheck"]
-            lines.append(
-                f"modular precheck rank mod {pre['prime']}: twisted span "
-                f"{pre['twisted_span_rank_mod_p']} (calibrated: {pre['calibrated']})"
-            )
         lines.append(f"twisted-quotient {payload['twisted_quotient_rank']}")
         lines.append(f"commutant        {payload['commutant_rank']}")
         lines.append(f"agree            {'yes' if payload['agree'] else 'NO'}")
@@ -457,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write the report to a file")
         if name == "verify":
             p.add_argument("--suite", choices=SUITES, required=True)
-        if name == "dim":
-            p.add_argument("--modular-precheck", choices=("on", "off"), default="off")
     return parser
 
 

@@ -3,7 +3,8 @@ Exact sparse linear algebra over the rationals.
 
 Coefficients are ``fractions.Fraction`` (arbitrary-precision, always in
 lowest terms with positive denominator), so ranks, nullspaces and solves are
-exact.  No floating point is used anywhere in this module.
+exact; inside the elimination, integral coefficients are held as Python
+ints.  No floating point is used anywhere in this module.
 
 Subspaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal exactly when their stored bases are equal, independent
@@ -30,9 +31,6 @@ __all__ = [
     "nullspace",
     "solve_affine",
     "coordinates_in_span",
-    "modular_rank",
-    "is_probable_prime",
-    "random_prime",
 ]
 
 Rational = Fraction
@@ -130,46 +128,70 @@ def _axpy(v: dict, row: Mapping[int, Fraction], c: Fraction) -> None:
 
 
 class _Echelon:
-    """Incremental reduced row echelon form over Fraction entries.
+    """Incremental reduced row echelon form.
 
     Invariant: each stored row has leading coefficient 1 at its pivot and no
     entry at any other pivot, so reducing a vector is a single pass over its
-    pivot-indexed entries.
+    pivot-indexed entries.  Integral entries are held as ints and the others
+    as Fractions, so eliminations with +-1 coefficients never build a
+    Fraction.  ``occurs[j]`` holds the pivots of the stored rows with an
+    entry in the non-pivot column j; a new pivot p updates exactly the rows
+    in ``occurs[p]``.
     """
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, int | Fraction]] = {}
+        self.occurs: dict[int, set[int]] = {}
 
-    def reduce(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out = dict(v)
-        for p in [j for j in out if j in self.rows]:
+    def reduce(self, v: Mapping[int, Fraction | int]) -> dict[int, int | Fraction]:
+        out = {j: c.numerator if c.denominator == 1 else c for j, c in v.items()}
+        rows = self.rows
+        for p in [j for j in out if j in rows]:
             c = out.pop(p)
-            row = self.rows[p]
-            for j, r in row.items():
+            for j, r in rows[p].items():
                 if j == p:
                     continue
-                nv = out.get(j, _ZERO) - c * r
+                nv = out.get(j, 0) - c * r
                 if nv:
                     out[j] = nv
                 else:
-                    out.pop(j, None)
+                    del out[j]
         return out
 
-    def insert(self, v: Mapping[int, Fraction]) -> int | None:
+    def insert(self, v: Mapping[int, Fraction | int]) -> int | None:
         """Reduce ``v`` against the basis; absorb the remainder if nonzero.
 
         Returns the new pivot index, or None if ``v`` was dependent.
         """
-        red = self.reduce(v)
-        if not red:
+        row = self.reduce(v)
+        if not row:
             return None
-        p = min(red)
-        inv = _ONE / red[p]
-        row = {j: c * inv for j, c in red.items()}
-        for other in self.rows.values():
-            if p in other:
-                _axpy(other, row, other[p])
+        p = min(row)
+        lead = row[p]
+        if lead == -1:
+            row = {j: -c for j, c in row.items()}
+        elif lead != 1:
+            row = {j: Fraction(c) / lead for j, c in row.items()}
+            row = {j: c.numerator if c.denominator == 1 else c for j, c in row.items()}
+        occurs = self.occurs
+        for q in occurs.pop(p, ()):
+            other = self.rows[q]
+            c = other.pop(p)
+            for j, r in row.items():
+                if j == p:
+                    continue
+                nv = other.get(j, 0) - c * r
+                if nv:
+                    if j not in other:
+                        occurs.setdefault(j, set()).add(q)
+                    other[j] = nv
+                else:
+                    del other[j]
+                    occurs[j].discard(q)
+        for j in row:
+            if j != p:
+                occurs.setdefault(j, set()).add(p)
         self.rows[p] = row
         return p
 
@@ -246,16 +268,13 @@ def nullspace(vectors: Iterable[SparseVector], dimension: int) -> Subspace:
         if v.dimension != dimension:
             raise ValueError(f"dimension mismatch: {v.dimension} vs {dimension}")
         ech.insert(v.entries)
-    pivots = set(ech.rows)
     raw = []
     for f in range(dimension):
-        if f in pivots:
+        if f in ech.rows:
             continue
-        vec = {f: _ONE}
-        for p, row in ech.rows.items():
-            c = row.get(f)
-            if c:
-                vec[p] = -c
+        vec = {f: 1}
+        for p in ech.occurs.get(f, ()):
+            vec[p] = -ech.rows[p][f]
         raw.append(SparseVector(dimension, vec))
     return span(raw, dimension)
 
@@ -324,96 +343,4 @@ def coordinates_in_span(
     red = ech.reduce(target.entries)
     if any(j < dim for j in red):
         raise NoSolutionError("target is outside the span")
-    return [-red.get(dim + j, _ZERO) for j in range(k)]
-
-
-# ---------------------------------------------------------------------------
-# Modular fast path.  Used only as a pre-check: the exact elimination above
-# is always the final answer.
-
-def modular_rank(vectors: Iterable[SparseVector], prime: int,
-                 dimension: int | None = None) -> int:
-    """Rank of the vectors reduced modulo ``prime``.
-
-    A lower bound for the exact rank; equality can fail only when the prime
-    divides a nonzero minor.
-    """
-    vs = list(vectors)
-    if dimension is None:
-        vs, dimension = _common_dimension(vs)
-    # Same reduced-echelon invariant as _Echelon, over Z/prime.
-    rows: dict[int, dict[int, int]] = {}
-    for v in vs:
-        out = {}
-        for j, c in v.entries.items():
-            if c.denominator % prime == 0:
-                raise ValueError("denominator divisible by the chosen prime")
-            r = c.numerator * pow(c.denominator, -1, prime) % prime
-            if r:
-                out[j] = r
-        for p in [j for j in out if j in rows]:
-            c = out.pop(p)
-            for j, r in rows[p].items():
-                if j == p:
-                    continue
-                nv = (out.get(j, 0) - c * r) % prime
-                if nv:
-                    out[j] = nv
-                else:
-                    out.pop(j, None)
-        if not out:
-            continue
-        p = min(out)
-        inv = pow(out[p], -1, prime)
-        new = {j: c * inv % prime for j, c in out.items()}
-        for other in rows.values():
-            if p in other:
-                c = other.pop(p)
-                for j, r in new.items():
-                    if j == p:
-                        continue
-                    nv = (other.get(j, 0) - c * r) % prime
-                    if nv:
-                        other[j] = nv
-                    else:
-                        other.pop(j, None)
-        rows[p] = new
-    return len(rows)
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_probable_prime(m: int) -> bool:
-    """Miller-Rabin; deterministic for m < 2**64 with the fixed base set."""
-    if m < 2:
-        return False
-    for p in _MR_BASES:
-        if m % p == 0:
-            return m == p
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime(bits: int = 62, seed: int = 0) -> int:
-    """A prime with the given bit length, deterministic for a fixed seed."""
-    import random
-
-    rng = random.Random(seed)
-    while True:
-        candidate = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate):
-            return candidate
+    return [Fraction(-red.get(dim + j, 0)) for j in range(k)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations as _lex_images
+from itertools import product
 
 __all__ = [
     "MAX_N",
@@ -215,16 +216,27 @@ class PermTable:
 def symmetric_group(n: int) -> PermTable:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"number of strands must be in 1..{MAX_N}, got {n}")
-    perms = tuple(Permutation(img) for img in _lex_images(range(1, n + 1)))
-    index = {w.image: k for k, w in enumerate(perms)}
-    lengths = tuple(w.length for w in perms)
-    lmul = tuple(
-        tuple(index[swap_values(w, i).image] for w in perms) for i in range(1, n)
-    )
+    images = list(_lex_images(range(1, n + 1)))
+    perms = tuple(Permutation(img) for img in images)
+    index = {img: k for k, img in enumerate(images)}
+    # The lexicographic rank written in the factorial base is the Lehmer
+    # code, whose digit sum is the inversion count.
+    lengths = tuple(map(sum, product(*(range(m) for m in range(n, 0, -1)))))
+    for w, length in zip(perms, lengths):
+        object.__setattr__(w, "length", length)  # fill the cached property
+    inv = []
+    for img in images:
+        image = [0] * n
+        for p, q in enumerate(img, start=1):
+            image[q - 1] = p
+        inv.append(index[tuple(image)])
+    # w o s_i swaps the entries at positions i and i+1 (0-based p = i-1).
     rmul = tuple(
-        tuple(index[swap_positions(w, i).image] for w in perms) for i in range(1, n)
+        tuple(index[img[:p] + (img[p + 1], img[p]) + img[p + 2:]] for img in images)
+        for p in range(n - 1)
     )
-    inv = tuple(index[inverse(w).image] for w in perms)
+    # s_i o w is the inverse of w^{-1} o s_i.
+    lmul = tuple(tuple(inv[row[j]] for j in inv) for row in rmul)
     return PermTable(
         n=n,
         perms=perms,
@@ -232,7 +244,7 @@ def symmetric_group(n: int) -> PermTable:
         lengths=lengths,
         lmul=lmul,
         rmul=rmul,
-        inv=inv,
+        inv=tuple(inv),
         w0=index[longest_element(n).image],
     )
 

@@ -12,16 +12,13 @@ identifications close up under union-find, with zero as an absorbing sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
 from .algebra import (
     NILCOXETER,
     AlgebraParams,
-    basis_element,
-    mul_left_generator,
-    mul_right_generator,
+    commutator_terms,
     preset_name,
     single_term_actions,
 )
@@ -42,8 +39,6 @@ __all__ = [
     "CLASS_REPORT_SCHEMA",
 ]
 
-_ONE = Fraction(1)
-
 
 class UnsupportedParamsError(ValueError):
     """The operation is only defined for specific preset algebras."""
@@ -54,21 +49,13 @@ def generator_vectors(
 ) -> list[SparseVector]:
     """Vectors of T_i * x - x * T_j over generators i and basis x, with
     j = n - i when twisted and j = i otherwise."""
-    table = symmetric_group(n)
-    order = table.order
-    out = []
-    for i in range(1, n):
-        j = n - i if twisted else i
-        for w in table.perms:
-            x = basis_element(params, w)
-            diff = mul_left_generator(i, x) - mul_right_generator(x, j)
-            if not diff.is_zero():
-                out.append(
-                    SparseVector(
-                        order, {table.rank(u): c for u, c in diff.terms.items()}
-                    )
-                )
-    return out
+    order = symmetric_group(n).order
+    return [
+        SparseVector(order, diff)
+        for i in range(1, n)
+        for diff in commutator_terms(n, params, i, n - i if twisted else i)
+        if diff
+    ]
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -76,6 +77,18 @@ def _cycle_sizes(w):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_center_dim_matches_twisted_quotient(n, params):
     assert center(n, params).dim == quotient_dim(n, params, twisted=True)
+
+
+@pytest.mark.parametrize("params", [NILCOXETER, ZERO_HECKE], ids=["nilcoxeter", "0-hecke"])
+def test_golden_n7_dimension_by_all_routes(params):
+    # dim Z(NC_7) = dim Z(H_7) = 16 by the formula, the twisted-quotient rank
+    # and the commutant rank; each route takes about a second, the budget is
+    # generous
+    start = time.perf_counter()
+    assert center_dim_formula(7) == 16
+    assert quotient_dim(7, params, twisted=True) == 16
+    assert center(7, params).dim == 16
+    assert time.perf_counter() - start < 120.0
 
 
 @pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)

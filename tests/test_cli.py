@@ -43,18 +43,6 @@ def test_dim_custom_params(capsys):
     assert payload["agree"]
 
 
-def test_dim_modular_precheck(capsys):
-    status, out, _ = run(
-        capsys, "dim", "--algebra", "nilcoxeter", "-n", "4",
-        "--format", "json", "--modular-precheck", "on",
-    )
-    assert status == 0
-    payload = json.loads(out)
-    pre = payload["modular_precheck"]
-    assert pre["calibrated"]
-    assert pre["twisted_span_rank_mod_p"] == 24 - payload["twisted_quotient_rank"]
-
-
 def test_classes_json_schema(capsys):
     status, out, _ = run(capsys, "classes", "--algebra", "0-hecke", "-n", "3", "--format", "json")
     assert status == 0

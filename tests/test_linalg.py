@@ -1,11 +1,12 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRESETS, PRESET_IDS
+from mobius_centers import linalg
 from mobius_centers.linalg import (
     NonUniqueSolutionError,
     NoSolutionError,
@@ -13,11 +14,8 @@ from mobius_centers.linalg import (
     contains,
     coordinates_in_span,
     format_rational,
-    is_probable_prime,
-    modular_rank,
     nullspace,
     parse_rational,
-    random_prime,
     rank,
     solve_affine,
     span,
@@ -30,12 +28,10 @@ def vec(dim, **entries):
     return SparseVector(dim, {int(k[1:]): Fraction(v) for k, v in entries.items()})
 
 
-def dense_rank_oracle(matrix):
-    # textbook Gaussian elimination over exact rationals, no sparsity tricks
+def dense_rref(matrix, cols):
+    # textbook Gauss-Jordan elimination over exact rationals, no sparsity
+    # tricks; returns the nonzero rows of the reduced row echelon form
     rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    cols = len(rows[0])
     rank_count = 0
     for col in range(cols):
         pivot = next(
@@ -51,7 +47,11 @@ def dense_rank_oracle(matrix):
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank_count])]
         rank_count += 1
-    return rank_count
+    return rows[:rank_count]
+
+
+def dense_rank_oracle(matrix):
+    return len(dense_rref(matrix, len(matrix[0]))) if matrix else 0
 
 
 def to_sparse(matrix):
@@ -231,42 +231,191 @@ def test_coordinates_reject_dependent_basis():
         coordinates_in_span([v, v.scaled(2)], v)
 
 
-# --- modular pre-check ----------------------------------------------------------------
+# --- rank modulo a prime as an independent oracle ----------------------------------
+
+# 2**61 - 1 is a Mersenne prime; a nonzero rational minor vanishes modulo it
+# only if the prime divides its numerator.
+PRIME = 2**61 - 1
+
+
+def modular_rank(vectors, prime, dimension):
+    # dense Gaussian elimination over Z/prime, sharing no code with linalg
+    rows = [
+        [c.numerator * pow(c.denominator, -1, prime) % prime
+         for c in (v.get(j) for j in range(dimension))]
+        for v in vectors
+    ]
+    rank_count = 0
+    for col in range(dimension):
+        pivot = next((r for r in range(rank_count, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank_count], rows[pivot] = rows[pivot], rows[rank_count]
+        inv = pow(rows[rank_count][col], -1, prime)
+        head = [x * inv % prime for x in rows[rank_count]]
+        rows[rank_count] = head
+        for r in range(rank_count + 1, len(rows)):
+            if rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [(x - factor * y) % prime for x, y in zip(rows[r], head)]
+        rank_count += 1
+    return rank_count
 
 
 @given(matrices)
 @settings(max_examples=40)
 def test_modular_rank_matches_exact_on_small_integers(matrix):
-    # entries are small enough that no nonzero minor can vanish mod a 62-bit prime
-    prime = random_prime(62, seed=7)
+    # entries are small enough that no nonzero minor can vanish mod a 61-bit prime
     dim = len(matrix[0])
-    assert modular_rank(to_sparse(matrix), prime, dim) == rank(to_sparse(matrix), dim)
+    assert modular_rank(to_sparse(matrix), PRIME, dim) == rank(to_sparse(matrix), dim)
 
 
 @pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)
 @pytest.mark.parametrize("n", range(2, 5))
 def test_modular_rank_calibrates_on_twisted_spans(n, params):
-    # the design calibration: the fast path must agree with the exact rank
-    # on every n <= 4 span before it may be used as a pre-check
-    prime = random_prime(62, seed=2024)
+    # the exact twisted span must have the rank that elimination modulo a
+    # large prime finds on the same generator vectors
     vectors = generator_vectors(n, params, twisted=True)
     order = symmetric_group(n).order
-    assert modular_rank(vectors, prime, order) == twisted_commutator_span(n, params).dim
+    assert modular_rank(vectors, PRIME, order) == twisted_commutator_span(n, params).dim
 
 
-def test_miller_rabin_against_sympy():
-    for m in list(range(2, 200)) + [2**61 - 1, 2**61 + 1, 4611686018427387847]:
-        assert is_probable_prime(m) == sympy.isprime(m)
+# --- exactness of the echelon against a dense oracle --------------------------------
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
 
 
-@given(st.integers(min_value=2, max_value=10**12))
-@settings(max_examples=200)
-def test_miller_rabin_against_sympy_random(m):
-    assert is_probable_prime(m) == sympy.isprime(m)
+def dense_matrices(cols, max_rows=7):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=0, max_size=max_rows
+    )
 
 
-def test_random_prime_is_prime_and_deterministic():
-    p = random_prime(62, seed=2024)
-    assert p == random_prime(62, seed=2024)
-    assert sympy.isprime(p)
-    assert p.bit_length() == 62
+def sparse_rows(matrix, cols):
+    return [
+        SparseVector(cols, {j: Fraction(x) for j, x in enumerate(row) if x})
+        for row in matrix
+    ]
+
+
+def dense(vectors, cols):
+    return [[v.get(j) for j in range(cols)] for v in vectors]
+
+
+def dense_nullspace(matrix, cols):
+    reduced = dense_rref(matrix, cols)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * cols
+        x[f] = Fraction(1)
+        for p, row in zip(pivots, reduced):
+            x[p] = -row[f]
+        basis.append(x)
+    return dense_rref(basis, cols)
+
+
+def assert_fractions(values):
+    assert all(type(c) is Fraction for c in values)
+
+
+@contextmanager
+def watched_echelon():
+    """Check, after every insertion, that the echelon holds only ints and
+    Fractions (never a float)."""
+    original = linalg._Echelon.insert
+    inserts = []
+
+    def insert(self, v):
+        pivot = original(self, v)
+        for row in self.rows.values():
+            for c in row.values():
+                assert type(c) in (int, Fraction), repr(c)
+        inserts.append(pivot)
+        return pivot
+
+    linalg._Echelon.insert = insert
+    try:
+        yield inserts
+    finally:
+        linalg._Echelon.insert = original
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.tuples(st.just(cols), dense_matrices(cols))), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_span_and_nullspace_match_dense_oracle_under_shuffle(system, rnd):
+    cols, matrix = system
+    vectors = sparse_rows(matrix, cols)
+    rnd.shuffle(vectors)
+    with watched_echelon() as inserts:
+        space = span(vectors, cols)
+        null = nullspace(vectors, cols)
+    assert len(inserts) >= 2 * len(vectors)
+    assert dense(space.basis, cols) == dense_rref(matrix, cols)
+    assert dense(null.basis, cols) == dense_nullspace(matrix, cols)
+    for b in space.basis + null.basis:
+        assert_fractions(b.entries.values())
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda cols: st.tuples(
+        st.just(cols),
+        dense_matrices(cols, max_rows=4).filter(bool),
+        dense_matrices(cols),
+        st.lists(entries, min_size=7, max_size=7),
+    )), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_solve_affine_matches_dense_oracle(system, rnd):
+    cols, unknowns, constraints, values = system
+    basis = sparse_rows(unknowns, cols)
+    pairs = list(zip(sparse_rows(constraints, cols), map(Fraction, values)))
+    rnd.shuffle(pairs)
+    k = len(basis)
+    augmented = [[c.dot(u) for u in basis] + [value] for c, value in pairs]
+    reduced = dense_rref(augmented, k + 1)
+    with watched_echelon():
+        if any(row[k] and not any(row[:k]) for row in reduced):
+            with pytest.raises(NoSolutionError):
+                solve_affine(pairs, basis)
+        elif len(reduced) < k:
+            with pytest.raises(NonUniqueSolutionError):
+                solve_affine(pairs, basis)
+        else:
+            x = solve_affine(pairs, basis)
+            want = [sum((row[k] * u[j] for row, u in zip(reduced, unknowns)), Fraction(0))
+                    for j in range(cols)]
+            assert dense([x], cols) == [want]
+            assert_fractions(x.entries.values())
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.tuples(
+        st.just(cols),
+        dense_matrices(cols, max_rows=5).filter(bool),
+        st.lists(entries, min_size=5, max_size=5),
+    )), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_coordinates_in_span_match_dense_oracle(system, rnd):
+    cols, matrix, coeffs = system
+    rnd.shuffle(matrix)
+    basis = sparse_rows(matrix, cols)
+    coeffs = [Fraction(c) for c in coeffs[: len(basis)]]
+    target = SparseVector(cols, {
+        j: sum((c * Fraction(row[j]) for c, row in zip(coeffs, matrix)), Fraction(0))
+        for j in range(cols)
+    })
+    with watched_echelon():
+        if dense_rank_oracle(matrix) < len(basis):
+            with pytest.raises(NonUniqueSolutionError):
+                coordinates_in_span(basis, target)
+        else:
+            got = coordinates_in_span(basis, target)
+            assert got == coeffs
+            assert_fractions(got)
