@@ -15,7 +15,7 @@ from mobius_centers.centers import conjecture_report_to_json, verify_hn_conjectu
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=4)
+    parser.add_argument("--max-n", type=int, default=5)
     parser.add_argument("--reports-dir", type=Path,
                         default=Path(__file__).resolve().parent.parent / "reports")
     args = parser.parse_args()

@@ -243,30 +243,72 @@ def mul_right_generator(x: AlgebraElement, i: int) -> AlgebraElement:
     return AlgebraElement(x.n, x.params, out)
 
 
-def _accumulate(out: dict, w: Permutation, c: Fraction) -> None:
-    nc = out.get(w, _ZERO) + c
+def _accumulate(out: dict, w, c) -> None:
+    nc = out.get(w, 0) + c
     if nc:
         out[w] = nc
     else:
         out.pop(w, None)
 
 
+def _integral(c: Fraction) -> int | Fraction:
+    return c.numerator if c.denominator == 1 else c
+
+
+def _left_terms(
+    n: int, params: AlgebraParams
+) -> tuple[tuple[tuple[tuple[int, int | Fraction], ...], ...], ...]:
+    """``generator_terms(n, params, i, left=True)`` tabulated for every
+    generator, once per permutation table: entry [i-1][k] holds the terms
+    of ``T_i * T_k``."""
+    derived = symmetric_group(n).derived
+    key = ("left_terms", params)
+    if key not in derived:
+        derived[key] = tuple(
+            tuple(generator_terms(n, params, i, left=True)) for i in range(1, n)
+        )
+    return derived[key]
+
+
+def _push(coords: dict, step) -> dict:
+    """Left-multiply the coordinates ``{index: coeff}`` by one generator,
+    given that generator's row of ``_left_terms``."""
+    out: dict = {}
+    for k, c in coords.items():
+        for m, t in step[k]:
+            v = out.get(m, 0) + t * c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return out
+
+
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """The bilinear product.
 
-    Each basis term of x is factored into its reduced word, which is then
-    applied to y one generator at a time.
+    Each basis term of x is factored into its reduced word, whose letters
+    act on the coordinates of y right to left through the tabulated left
+    generator terms.  Coordinates are held by basis index, as ints when
+    integral, until the result is built.
     """
     _check_compatible(x, y)
-    result = zero(x.params, x.n)
+    n = x.n
+    table = symmetric_group(n)
+    steps = _left_terms(n, x.params)
+    start = {table.rank(w): _integral(c) for w, c in y.terms.items()}
+    out: dict = {}
     for u, c in x.terms.items():
-        acc = y
+        acc = start
         for i in reversed(reduced_word(u)):
-            acc = mul_left_generator(i, acc)
-            if acc.is_zero():
+            acc = _push(acc, steps[i - 1])
+            if not acc:
                 break
-        result = result + acc.scaled(c)
-    return result
+        c = _integral(c)
+        for k, v in acc.items():
+            _accumulate(out, k, c * v)
+    perms = table.perms
+    return AlgebraElement(n, x.params, {perms[k]: c for k, c in out.items()})
 
 
 def trace(x: AlgebraElement) -> Fraction:
@@ -301,10 +343,36 @@ def right_complements(w: Permutation, params: AlgebraParams) -> list[Permutation
 
 
 def gram_matrix(n: int, params: AlgebraParams) -> list[list[Fraction]]:
-    """G[u][v] = trace(T_u * T_v) over all basis pairs, in index order."""
+    """G[u][v] = trace(T_u * T_v) over all basis pairs, in index order.
+
+    Row e is the indicator of w0.  When u s_j is longer than u,
+    T_{u s_j} T_v = T_u (T_j T_v), so row u s_j is row u read through the
+    left terms of T_j T_v.  Rows are reached from e by right extension, one
+    length at a time; this uses only associativity, so it holds for every
+    (a, b).
+    """
     table = symmetric_group(n)
-    elements = [basis_element(params, w) for w in table.perms]
-    return [[trace(mul(x, y)) for y in elements] for x in elements]
+    order, lengths = table.order, table.lengths
+    steps = _left_terms(n, params)
+    rows: list[list | None] = [None] * order
+    rows[0] = [0] * order  # index 0 is the identity
+    rows[0][table.w0] = 1
+    frontier = [0]
+    while frontier:
+        reached = []
+        for u in frontier:
+            row = rows[u]
+            for rmul, step in zip(table.rmul, steps):
+                us = rmul[u]
+                if rows[us] is None and lengths[us] > lengths[u]:
+                    rows[us] = [sum(t * row[m] for m, t in terms) for terms in step]
+                    reached.append(us)
+        frontier = reached
+    # Shared 0 and 1: most entries are one of the two.
+    return [
+        [_ZERO if c == 0 else _ONE if c == 1 else Fraction(c) for c in row]
+        for row in rows
+    ]
 
 
 def gram_rows(n: int, params: AlgebraParams) -> list[SparseVector]:
@@ -369,7 +437,7 @@ def generator_terms(
         raise ValueError(f"generator index must be in 1..{n - 1}, got {i}")
     table = symmetric_group(n)
     lengths = table.lengths
-    a, b = (c.numerator if c.denominator == 1 else c for c in (params.a, params.b))
+    a, b = _integral(params.a), _integral(params.b)
     for k, m in enumerate((table.lmul if left else table.rmul)[i - 1]):
         if lengths[m] > lengths[k]:
             yield ((m, 1),)

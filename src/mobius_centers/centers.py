@@ -27,7 +27,6 @@ from .algebra import (
     element_to_json,
     element_to_vector,
     gram_matrix,
-    gram_rows,
     mul,
     mul_left_generator,
     mul_right_generator,
@@ -137,6 +136,16 @@ def nc_center_basis(n: int) -> CenterBasis:
     return CenterBasis(n, NILCOXETER, classes.representatives, elements)
 
 
+def _gram(n: int, params: AlgebraParams) -> list[list[Fraction]]:
+    """The Gram matrix, built once per permutation table for the dual basis
+    and the support report."""
+    derived = symmetric_group(n).derived
+    key = ("gram", params)
+    if key not in derived:
+        derived[key] = gram_matrix(n, params)
+    return derived[key]
+
+
 @lru_cache(maxsize=None)
 def dual_center_basis(n: int, params: AlgebraParams) -> CenterBasis:
     """For each nonzero class c, the unique central element pairing to 1
@@ -150,25 +159,43 @@ def dual_center_basis(n: int, params: AlgebraParams) -> CenterBasis:
             "dual center basis is defined for the nilcoxeter and 0-hecke presets"
         )
     classes = mobius_classes(n, params)
-    central = list(center(n, params).basis)
-    rows = gram_rows(n, params)
+    central = center(n, params).basis
+    k = len(central)
+    # The pairing trace(T_u * z_j) of every basis element with every central
+    # basis vector is the same for each class; only the right-hand side
+    # changes, so each class is solved over the k central coordinates.
+    pairing = [
+        SparseVector(
+            k,
+            {
+                j: sum((row[v] * c for v, c in z.entries.items() if row[v]), _ZERO)
+                for j, z in enumerate(central)
+            },
+        )
+        for row in _gram(n, params)
+    ]
+    coordinates = [SparseVector(k, {j: _ONE}) for j in range(k)]
     table = symmetric_group(n)
     labels, elements = [], []
     for members, rep in zip(classes.classes, classes.representatives):
         member_ranks = {table.rank(w) for w in members}
         constraints = [
-            (rows[u], _ONE if u in member_ranks else _ZERO)
+            (pairing[u], _ONE if u in member_ranks else _ZERO)
             for u in range(table.order)
         ]
         try:
-            solution = solve_affine(constraints, central)
+            solution = solve_affine(constraints, coordinates)
         except (NoSolutionError, NonUniqueSolutionError) as exc:
             raise type(exc)(
                 f"dual element for the class of {rep!r} at n={n}, "
                 f"algebra {preset_name(params)}: {exc}"
             ) from exc
+        terms: dict[int, Fraction] = {}
+        for j, c in solution.entries.items():
+            for v, zc in central[j].entries.items():
+                terms[v] = terms.get(v, _ZERO) + c * zc
         labels.append(rep)
-        elements.append(vector_to_element(solution, n, params))
+        elements.append(vector_to_element(SparseVector(table.order, terms), n, params))
     return CenterBasis(n, params, tuple(labels), tuple(elements))
 
 
@@ -225,11 +252,8 @@ def verify_hn_conjecture(n: int) -> ConjectureReport:
     classes = mobius_classes(n, params)
     dual = dual_center_basis(n, params)
     table = symmetric_group(n)
-    gram = gram_matrix(n, params)
-
     complement_sets = [
-        [v for v in range(table.order) if gram[u][v] == 1]
-        for u in range(table.order)
+        [v for v, c in enumerate(row) if c == 1] for row in _gram(n, params)
     ]
     unique_per_crossing = all(
         len({table.lengths[v] for v in complement_sets[u]}) == len(complement_sets[u])

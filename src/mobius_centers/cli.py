@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 
@@ -59,6 +60,10 @@ SUITES = ("relations", "frobenius", "duality", "census", "all")
 _FROBENIUS_PAIR_SEED = 12345
 _RANDOM_PAIR_COUNT = 10_000
 
+# The dense n! x n! Gram matrix is feasible up to n = 6 (518,400 entries);
+# at n = 7 it would hold 25.4 M, about 200 MB of list slots alone.
+_MAX_GRAM_ENTRIES = math.factorial(6) ** 2
+
 
 class UsageError(Exception):
     pass
@@ -66,6 +71,17 @@ class UsageError(Exception):
 
 def _dotted(word) -> str:
     return ".".join(str(i) for i in word) or "e"
+
+
+def _check_gram_size(n: int) -> None:
+    """Refuse, before any table is built, an n whose dense Gram matrix is
+    beyond the n = 6 size."""
+    entries = math.factorial(n) ** 2
+    if entries > _MAX_GRAM_ENTRIES:
+        raise UsageError(
+            f"-n {n} needs the dense {n}! x {n}! Gram matrix ({entries:,} entries); "
+            f"at most {_MAX_GRAM_ENTRIES:,} (n <= 6) are supported"
+        )
 
 
 def _algebra_label(params: AlgebraParams) -> str:
@@ -114,6 +130,7 @@ def _center_basis_for(args):
     if args.algebra == NILCOXETER:
         return nc_center_basis(args.n)
     if args.algebra == ZERO_HECKE:
+        _check_gram_size(args.n)
         return dual_center_basis(args.n, args.algebra)
     raise UsageError(
         "center basis construction is available for the nilcoxeter and 0-hecke presets"
@@ -148,6 +165,7 @@ def _cmd_table(args) -> tuple[dict, int]:
 def _cmd_conjecture(args) -> tuple[dict, int]:
     if args.algebra != ZERO_HECKE:
         raise UsageError("the conjecture report is specific to the 0-hecke algebra")
+    _check_gram_size(args.n)
     report = verify_hn_conjecture(args.n)
     return conjecture_report_to_json(report), 0
 
@@ -240,6 +258,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
             names.append("census")
     else:
         names = [args.suite]
+    if "frobenius" in names:
+        _check_gram_size(n)
     checks = []
     try:
         for name in names:

@@ -17,7 +17,7 @@ Conventions, fixed once and used everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations as _lex_images
 from itertools import product
@@ -193,6 +193,10 @@ class PermTable:
     ``lmul[i-1][k]`` is the index of ``s_i o perms[k]`` and ``rmul[i-1][k]``
     the index of ``perms[k] o s_i``.  Every exhaustive computation downstream
     (spans, commutants, class closures) runs on these integer tables.
+
+    ``derived`` holds tables that other modules build from this one, keyed
+    by their own keys.  They share its lifetime: clearing the cache of
+    ``symmetric_group`` drops them too.
     """
 
     n: int
@@ -203,6 +207,7 @@ class PermTable:
     rmul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     w0: int
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     def rank(self, w: Permutation) -> int:
         return self.index[w.image]

@@ -212,7 +212,7 @@ def test_criterion_11_group_algebra_oracle():
 def test_criterion_12_conjecture_instrument(tmp_path):
     with criterion(12, "0-Hecke dual basis exists and is unique; report archived"):
         reports_dir = Path(__file__).resolve().parent.parent / "reports"
-        for n in range(2, 5):
+        for n in range(2, 6):
             # existence and uniqueness: the solve raises on either failure
             report = verify_hn_conjecture(n)
             assert len(report.classes) == center_dim_formula(n)

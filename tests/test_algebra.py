@@ -24,6 +24,7 @@ from mobius_centers.algebra import (
     mul_left_generator,
     mul_right_generator,
     parse_algebra,
+    preset_name,
     right_complements,
     single_term_actions,
     trace,
@@ -200,6 +201,44 @@ def test_gram_examples():
             assert sorted(row, reverse=True) == [1] + [0] * (len(row) - 1)
         for j in range(len(gram)):
             assert sum(row[j] for row in gram) == 1
+
+
+def bruhat_leq(x, y) -> bool:
+    """x <= y in Bruhat order, by the tableau criterion: for every i the
+    sorted values x(1..i) are entrywise at most the sorted values y(1..i)."""
+    return all(
+        all(p <= q for p, q in zip(sorted(x.image[:i]), sorted(y.image[:i])))
+        for i in range(1, x.n)
+    )
+
+
+# trace(T_u T_v) for each preset, by the classical closed forms.
+GRAM_CLOSED_FORMS = {
+    # T_u T_v is T_{uv} when the lengths add up and 0 otherwise
+    "nilcoxeter": lambda u, v, w0: v == compose(inverse(u), w0),
+    # T_u T_v is T of the Demazure product, which is w0 iff v >= u^{-1} w0
+    "0-hecke": lambda u, v, w0: bruhat_leq(compose(inverse(u), w0), v),
+    "group": lambda u, v, w0: compose(u, v) == w0,
+}
+
+
+@pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gram_closed_forms(n, params):
+    closed_form = GRAM_CLOSED_FORMS[preset_name(params)]
+    perms = symmetric_group(n).perms
+    w0 = longest_element(n)
+    want = [[int(closed_form(u, v, w0)) for v in perms] for u in perms]
+    assert gram_matrix(n, params) == want
+
+
+def test_bruhat_tableau_criterion_examples():
+    e, w0 = identity(3), longest_element(3)
+    s1, s2 = generator(3, 1), generator(3, 2)
+    assert all(bruhat_leq(e, w) and bruhat_leq(w, w0) for w in symmetric_group(3).perms)
+    assert not bruhat_leq(s1, s2) and not bruhat_leq(s2, s1)
+    assert bruhat_leq(s1, compose(s1, s2)) and bruhat_leq(s2, compose(s1, s2))
+    assert not bruhat_leq(compose(s1, s2), compose(s2, s1))
 
 
 @pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)

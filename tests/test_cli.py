@@ -137,6 +137,53 @@ def test_n_out_of_cap(capsys):
     assert "1..12" in err
 
 
+class TableBuilt(Exception):
+    pass
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Make building any permutation table raise TableBuilt."""
+    import mobius_centers
+
+    def refuse(n):
+        raise TableBuilt(n)
+
+    for name in ("perm", "algebra", "quotients", "centers", "cli"):
+        module = getattr(mobius_centers, name)
+        monkeypatch.setattr(module, "symmetric_group", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conjecture", "-n", "7"),
+        ("basis", "--algebra", "0-hecke", "-n", "7"),
+        ("table", "--algebra", "0-hecke", "-n", "12"),
+        ("verify", "--suite", "frobenius", "--algebra", "nilcoxeter", "-n", "7"),
+        ("verify", "--suite", "all", "--algebra", "1,1", "-n", "8"),
+    ],
+)
+def test_dense_gram_refused_before_any_table(capsys, no_tables, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert "Gram matrix" in err and "n <= 6" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--algebra", "nilcoxeter", "-n", "7"),
+        ("verify", "--suite", "relations", "--algebra", "0-hecke", "-n", "7"),
+        ("conjecture", "-n", "6"),
+    ],
+)
+def test_commands_within_the_gram_limit_go_ahead(no_tables, argv):
+    with pytest.raises(TableBuilt):
+        main(list(argv))
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status, out, _ = run(

@@ -2,7 +2,9 @@
 
 Every consumer of ``generator_terms`` is compared, entry by entry, with the
 same quantity built from ``mul_left_generator`` / ``mul_right_generator`` on
-``basis_element``, for the presets and for drawn pairs (a, b).
+``basis_element``, for the presets and for drawn pairs (a, b).  The full
+product and the Gram matrix are compared with ``reference_mul``, which folds
+the reduced word of each term through ``mul_left_generator``.
 """
 
 from fractions import Fraction
@@ -12,25 +14,32 @@ from hypothesis import strategies as st
 
 from conftest import PRESETS
 from mobius_centers.algebra import (
+    AlgebraElement,
     AlgebraParams,
     basis_element,
     generator_terms,
+    gram_matrix,
+    mul,
     mul_left_generator,
     mul_right_generator,
     preset_name,
     single_term_actions,
+    trace,
+    zero,
 )
 from mobius_centers.centers import _constraint_rows
 from mobius_centers.linalg import SparseVector
-from mobius_centers.perm import symmetric_group
+from mobius_centers.perm import reduced_word, symmetric_group
 from mobius_centers.quotients import generator_vectors
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonzero = rationals.filter(bool)
+nonintegral = rationals.filter(lambda c: c.denominator > 1)
 algebras = st.one_of(
     st.sampled_from(PRESETS),
     st.builds(AlgebraParams, rationals, rationals),
     st.builds(AlgebraParams, nonzero, nonzero),
+    st.builds(AlgebraParams, nonintegral, nonintegral),
 )
 sizes = st.integers(min_value=1, max_value=4)
 
@@ -113,3 +122,49 @@ def test_constraint_rows_match_element_products(n, params, twisted):
     want = reference_constraint_rows(n, params, twisted)
     assert sorted(as_entries(got)) == sorted(as_entries(want))
     assert_fraction_entries(got)
+
+
+def reference_mul(x, y):
+    """x * y, each term c T_u of x applied to y one generator at a time."""
+    out = zero(x.params, x.n)
+    for u, c in x.terms.items():
+        acc = y
+        for i in reversed(reduced_word(u)):
+            acc = mul_left_generator(i, acc)
+        out = out + acc.scaled(c)
+    return out
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(sizes)
+    params = draw(algebras)
+    perms = symmetric_group(n).perms
+
+    def element():
+        terms = draw(st.dictionaries(st.sampled_from(perms), rationals, max_size=6))
+        return AlgebraElement(n, params, terms)
+
+    return element(), element()
+
+
+@given(element_pairs())
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_element_products(pair):
+    x, y = pair
+    got = mul(x, y)
+    assert got == reference_mul(x, y)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@given(sizes, algebras)
+@settings(max_examples=40, deadline=None)
+def test_gram_matrix_matches_element_traces(n, params):
+    elements = [basis_element(params, w) for w in symmetric_group(n).perms]
+    got = gram_matrix(n, params)
+    assert got == [[trace(reference_mul(x, y)) for y in elements] for x in elements]
+    entries = [c for row in got for c in row]
+    assert all(type(c) is Fraction for c in entries)
+    # one shared object each for 0 and 1, not one per entry
+    assert len({id(c) for c in entries if c == 0}) <= 1
+    assert len({id(c) for c in entries if c == 1}) <= 1
