@@ -64,6 +64,11 @@ _RANDOM_PAIR_COUNT = 10_000
 # at n = 7 it would hold 25.4 M, about 200 MB of list slots alone.
 _MAX_GRAM_ENTRIES = math.factorial(6) ** 2
 
+# Each command builds a table of one object per permutation, plus tables
+# derived from it: at n = 8 (40,320) the commands peak at 105-180 MB, and n = 9
+# would need nine times as much.
+_MAX_TABLE_ORDER = math.factorial(8)
+
 
 class UsageError(Exception):
     pass
@@ -84,6 +89,17 @@ def _check_gram_size(n: int) -> None:
         )
 
 
+def _check_table_size(n: int) -> None:
+    """Refuse, before any table is built, an n whose permutation table is
+    beyond the n = 8 size."""
+    order = math.factorial(n)
+    if order > _MAX_TABLE_ORDER:
+        raise UsageError(
+            f"-n {n} needs the table of all {n}! = {order:,} permutations; "
+            f"at most {_MAX_TABLE_ORDER:,} (n <= 8) are supported"
+        )
+
+
 def _algebra_label(params: AlgebraParams) -> str:
     name = preset_name(params)
     if name is not None:
@@ -97,6 +113,7 @@ def _algebra_label(params: AlgebraParams) -> str:
 def _cmd_dim(args) -> tuple[dict, int]:
     params = args.algebra
     n = args.n
+    _check_table_size(n)
     formula = center_dim_formula(n)
     formula_applies = params in (NILCOXETER, ZERO_HECKE)
     payload = {
@@ -119,6 +136,7 @@ def _cmd_dim(args) -> tuple[dict, int]:
 
 
 def _cmd_classes(args) -> tuple[dict, int]:
+    _check_table_size(args.n)
     try:
         classes = mobius_classes(args.n, args.algebra)
     except UnsupportedParamsError as exc:
@@ -128,6 +146,7 @@ def _cmd_classes(args) -> tuple[dict, int]:
 
 def _center_basis_for(args):
     if args.algebra == NILCOXETER:
+        _check_table_size(args.n)
         return nc_center_basis(args.n)
     if args.algebra == ZERO_HECKE:
         _check_gram_size(args.n)
@@ -260,6 +279,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         names = [args.suite]
     if "frobenius" in names:
         _check_gram_size(n)
+    _check_table_size(n)
     checks = []
     try:
         for name in names:

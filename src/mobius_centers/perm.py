@@ -167,16 +167,24 @@ def reduced_word(w: Permutation) -> Word:
     >>> reduced_word(Permutation((3, 2, 1)))
     (1, 2, 1)
     """
-    letters = []
+    # pos[q] is the position of the value q: i is a left descent iff
+    # pos[i] > pos[i+1], and stripping s_i swaps those two entries.  That
+    # can only create a descent at i-1, so the scan resumes there.
     n = w.n
-    while True:
-        for i in range(1, n):
-            if left_descent(w, i):
-                letters.append(i)
-                w = swap_values(w, i)
-                break
+    pos = [0] * (n + 1)
+    for p, q in enumerate(w.image, start=1):
+        pos[q] = p
+    letters = []
+    i = 1
+    while i < n:
+        if pos[i] > pos[i + 1]:
+            letters.append(i)
+            pos[i], pos[i + 1] = pos[i + 1], pos[i]
+            if i > 1:
+                i -= 1
         else:
-            return tuple(letters)
+            i += 1
+    return tuple(letters)
 
 
 def conjugate_by_w0(w: Permutation) -> Permutation:

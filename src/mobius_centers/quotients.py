@@ -110,20 +110,19 @@ class MobiusClasses:
     ``zero_class`` collects basis elements identified with 0 (Nilcoxeter
     only); it is None when nothing vanishes.  Classes are ordered by their
     representative, the length-minimal lexicographically-minimal member.
+    ``members`` lists the same classes with their members in that
+    (length, one-line word) order, representative first.
     """
 
     n: int
     params: AlgebraParams
     classes: tuple[frozenset[Permutation], ...]
     zero_class: frozenset[Permutation] | None
+    members: tuple[tuple[Permutation, ...], ...]
 
     @property
     def representatives(self) -> tuple[Permutation, ...]:
-        return tuple(_representative(c) for c in self.classes)
-
-
-def _representative(members: frozenset[Permutation]) -> Permutation:
-    return min(members, key=lambda w: (w.length, w.image))
+        return tuple(m[0] for m in self.members)
 
 
 @lru_cache(maxsize=None)
@@ -150,19 +149,21 @@ def mobius_classes(n: int, params: AlgebraParams) -> MobiusClasses:
             lk = lrow[k]
             rk = rrow[k]
             uf.union(lk if lk >= 0 else sink, rk if rk >= 0 else sink)
+    # Visit the members by (length, lexicographic rank), which orders the
+    # one-line words too: each group then lists its representative first,
+    # and the groups appear in the order of their representatives.
+    perms = table.perms
     groups: dict[int, list[Permutation]] = {}
-    for k in range(order):
-        groups.setdefault(uf.find(k), []).append(table.perms[k])
-    zero_members = groups.pop(uf.find(sink), None)
-    classes = sorted(
-        (frozenset(g) for g in groups.values()),
-        key=lambda c: ((_representative(c).length, _representative(c).image)),
-    )
+    for k in sorted(range(order), key=table.lengths.__getitem__):
+        groups.setdefault(uf.find(k), []).append(perms[k])
+    zero_members = groups.pop(uf.find(sink), ())
+    members = tuple(map(tuple, groups.values()))
     return MobiusClasses(
         n=n,
         params=params,
-        classes=tuple(classes),
-        zero_class=frozenset(zero_members) if zero_members else None,
+        classes=tuple(map(frozenset, members)),
+        zero_class=frozenset(zero_members) or None,
+        members=members,
     )
 
 
@@ -238,14 +239,11 @@ def classes_to_json(classes: MobiusClasses) -> dict:
     where they are constant per class."""
     is_nc = classes.params == NILCOXETER
     out = []
-    for members in classes.classes:
-        rep = _representative(members)
+    for members in classes.members:
+        rep = members[0]
         entry = {
             "representative": list(reduced_word(rep)),
-            "members": [
-                list(reduced_word(w))
-                for w in sorted(members, key=lambda w: (w.length, w.image))
-            ],
+            "members": [list(reduced_word(w)) for w in members],
         }
         if is_nc:
             entry["cycle_type"] = list(cycle_type(rep))

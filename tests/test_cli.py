@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -182,6 +183,59 @@ def test_dense_gram_refused_before_any_table(capsys, no_tables, argv):
 def test_commands_within_the_gram_limit_go_ahead(no_tables, argv):
     with pytest.raises(TableBuilt):
         main(list(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "--algebra", "0-hecke", "-n", "9"),
+        ("classes", "--algebra", "nilcoxeter", "-n", "9", "--format", "json"),
+        ("dim", "--algebra", "nilcoxeter", "-n", "12"),
+        ("basis", "--algebra", "nilcoxeter", "-n", "9"),
+        ("table", "--algebra", "nilcoxeter", "-n", "10"),
+        ("verify", "--suite", "census", "--algebra", "nilcoxeter", "-n", "10"),
+        ("verify", "--suite", "relations", "--algebra", "2/3,-1/2", "-n", "9"),
+    ],
+)
+def test_large_table_refused_before_any_table(capsys, no_tables, argv):
+    status, out, err = run(capsys, *argv)
+    n = argv[argv.index("-n") + 1]
+    assert status == 2
+    assert out == ""
+    assert f"{n}! = " in err and "n <= 8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "--algebra", "0-hecke", "-n", "8"),
+        ("dim", "--algebra", "nilcoxeter", "-n", "8"),
+        ("basis", "--algebra", "nilcoxeter", "-n", "8"),
+        ("verify", "--suite", "census", "--algebra", "nilcoxeter", "-n", "8"),
+    ],
+)
+def test_commands_within_the_table_limit_go_ahead(no_tables, argv):
+    with pytest.raises(TableBuilt):
+        main(list(argv))
+
+
+# sha256 of the output, recorded before reduced words moved to the
+# position-array scan; a change in any word or in the member order shows here.
+CLASSES_N7_SHA256 = {
+    ("nilcoxeter", "json"): "a5f2c0bcf3421c9f5d97a69a807697bf183672f7910e37e244d2ac2254b2dde4",
+    ("nilcoxeter", "csv"): "3022166c75f0116b884fddf3a8521986dd8e8c0f3fcbc5ed693b0d4b81b6c69e",
+    ("nilcoxeter", "text"): "bdb9c8d58a1cdc28311c4bb5ddc7c5768bc0d8ffd4840b8479ae6ac10265b07d",
+    ("0-hecke", "json"): "c44d8639a9067814ddabd654d8c981bc2329929ae0b467b79ecd550898149df2",
+    ("0-hecke", "csv"): "5bf921e477eae203460f77437ba943ae88b8aca0a62926b878bdf540e0bb713d",
+    ("0-hecke", "text"): "c8ae8bafaed4fe3d2b097a4632372032258c8c04562a5b7e9a668255b15180e0",
+}
+
+
+@pytest.mark.parametrize("algebra, fmt", sorted(CLASSES_N7_SHA256))
+def test_classes_n7_golden_bytes(capsys, algebra, fmt):
+    status, out, _ = run(capsys, "classes", "--algebra", algebra, "-n", "7", "--format", fmt)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_N7_SHA256[algebra, fmt]
 
 
 def test_output_file(tmp_path, capsys):

@@ -16,6 +16,7 @@ from mobius_centers.perm import (
     left_descent,
     longest_element,
     reduced_word,
+    swap_values,
     symmetric_group,
 )
 
@@ -170,6 +171,41 @@ def test_inverse_round_trip(perms):
 def test_reduced_word_round_trip_random(perms):
     (w,) = perms
     assert evaluate(reduced_word(w), w.n) == w
+
+
+def descent_scan_word(w):
+    # oracle: strip the smallest left descent, one Permutation per letter
+    letters = []
+    while True:
+        for i in range(1, w.n):
+            if left_descent(w, i):
+                letters.append(i)
+                w = swap_values(w, i)
+                break
+        else:
+            return tuple(letters)
+
+
+@given(perms_sharing_n(count=1, min_n=1, max_n=8))
+def test_reduced_word_matches_descent_scan(perms):
+    (w,) = perms
+    word = reduced_word(w)
+    assert word == descent_scan_word(w)
+    assert len(word) == w.length
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reduced_word_is_least_word_of_its_length(n):
+    # every word of length <= l(w0), grouped by the permutation it evaluates to
+    least = {}
+    for size in range(n * (n - 1) // 2 + 1):
+        for word in product(range(1, n), repeat=size):
+            w = evaluate(word, n)
+            if len(word) == w.length and (w not in least or word < least[w]):
+                least[w] = word
+    assert len(least) == symmetric_group(n).order
+    for w, word in least.items():
+        assert reduced_word(w) == word
 
 
 def test_cap_enforced():

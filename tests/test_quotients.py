@@ -143,6 +143,21 @@ def test_nc_classes_have_constant_length_and_cycle_type(n):
         assert len({cycle_type(w) for w in members}) == 1
 
 
+@pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_members_in_length_then_word_order(n, params):
+    def key(w):
+        return (w.length, w.image)
+
+    classes = mobius_classes(n, params)
+    assert tuple(map(frozenset, classes.members)) == classes.classes
+    for members, rep in zip(classes.members, classes.representatives):
+        assert list(members) == sorted(members, key=key)
+        assert rep == min(members, key=key)
+    reps = [key(rep) for rep in classes.representatives]
+    assert reps == sorted(reps)
+
+
 def test_hecke_class_lengths_vary():
     classes = mobius_classes(3, ZERO_HECKE)
     big = max(classes.classes, key=len)
