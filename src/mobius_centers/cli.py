@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import linalg
 from .algebra import (
@@ -302,7 +302,59 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The bytes of ``json.dumps(payload, indent=2)`` plus a newline.
+
+    ``json.dumps`` falls back to its pure-Python encoder whenever it indents;
+    this renders the same layout directly, and a list of ints (the bulk of a
+    class report) with one join.
+    """
+    parts: list[str] = []
+    _json_parts(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_parts(o, newline: str, parts: list[str]) -> None:
+    # newline is "\n" plus the indentation of the line that holds o
+    if isinstance(o, list):
+        if not o:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in o):
+            parts.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            parts.append(sep)
+            _json_parts(x, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            parts.append(sep + encode_basestring_ascii(k) + ": ")
+            _json_parts(v, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(o, str):
+        parts.append(encode_basestring_ascii(o))
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif type(o) is int:
+        parts.append(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _render_text(command: str, payload: dict) -> str:

@@ -3,18 +3,24 @@ Exact sparse linear algebra over the rationals.
 
 Coefficients are ``fractions.Fraction`` (arbitrary-precision, always in
 lowest terms with positive denominator), so ranks, nullspaces and solves are
-exact; inside the elimination, integral coefficients are held as Python
-ints.  No floating point is used anywhere in this module.
+exact.  No floating point is used anywhere in this module.
 
 Subspaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal exactly when their stored bases are equal, independent
 of the order the spanning vectors arrived in.
+
+The elimination itself is fraction-free.  Each stored row is the primitive
+integer multiple of its reduced row echelon row: int entries with content
+gcd 1, a positive entry at its pivot and none at any other pivot.  A
+``Fraction`` is built only when a result leaves the elimination, by one
+division by the pivot entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -127,44 +133,67 @@ def _axpy(v: dict, row: Mapping[int, Fraction], c: Fraction) -> None:
             v.pop(j, None)
 
 
-class _Echelon:
-    """Incremental reduced row echelon form.
+def _as_ints(v: Mapping[int, Fraction | int]) -> tuple[dict[int, int], int]:
+    """``v`` as int entries over one positive denominator: v = out / den."""
+    out = {j: c.numerator for j, c in v.items() if c.denominator == 1}
+    if len(out) == len(v):
+        return out, 1
+    den = lcm(*[c.denominator for c in v.values()])
+    return {j: c.numerator * (den // c.denominator) for j, c in v.items()}, den
 
-    Invariant: each stored row has leading coefficient 1 at its pivot and no
-    entry at any other pivot, so reducing a vector is a single pass over its
-    pivot-indexed entries.  Integral entries are held as ints and the others
-    as Fractions, so eliminations with +-1 coefficients never build a
-    Fraction.  ``occurs[j]`` holds the pivots of the stored rows with an
-    entry in the non-pivot column j; a new pivot p updates exactly the rows
-    in ``occurs[p]``.
+
+class _Echelon:
+    """Incremental reduced row echelon form, held fraction-free.
+
+    Invariant: ``rows[p]`` is a dict of ints with a positive entry at its
+    pivot p, no entry at any other pivot and content gcd 1; the reduced row
+    echelon row it stands for is ``rows[p] / rows[p][p]``.  Reducing a vector
+    is therefore a single pass over its pivot-indexed entries.  Against a row
+    with pivot entry r the partial remainder is first scaled by
+    ``r // gcd(c, r)``, so the arithmetic stays in ints; a pivot entry of 1
+    needs no scaling and no gcd, so eliminations with +-1 coefficients do no
+    more than plain subtraction.  ``occurs[j]`` holds the pivots of the
+    stored rows with an entry in the non-pivot column j; a new pivot p
+    updates exactly the rows in ``occurs[p]``.
     """
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self.rows: dict[int, dict[int, int | Fraction]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
         self.occurs: dict[int, set[int]] = {}
 
-    def reduce(self, v: Mapping[int, Fraction | int]) -> dict[int, int | Fraction]:
-        out = {j: c.numerator if c.denominator == 1 else c for j, c in v.items()}
+    def reduce(self, v: Mapping[int, Fraction | int]) -> tuple[dict[int, int], int]:
+        """The remainder of ``v`` against the basis, as ``(out, den)`` with
+        int entries ``out`` and a positive ``den``: remainder = out / den."""
+        out, den = _as_ints(v)
         rows = self.rows
         for p in [j for j in out if j in rows]:
             c = out.pop(p)
-            for j, r in rows[p].items():
+            row = rows[p]
+            r = row[p]
+            if r != 1:
+                g = gcd(c, r)
+                m = r // g
+                if m != 1:
+                    out = {j: x * m for j, x in out.items()}
+                    den *= m
+                c //= g
+            for j, x in row.items():
                 if j == p:
                     continue
-                nv = out.get(j, 0) - c * r
+                nv = out.get(j, 0) - c * x
                 if nv:
                     out[j] = nv
                 else:
                     del out[j]
-        return out
+        return out, den
 
     def insert(self, v: Mapping[int, Fraction | int]) -> int | None:
         """Reduce ``v`` against the basis; absorb the remainder if nonzero.
 
         Returns the new pivot index, or None if ``v`` was dependent.
         """
-        row = self.reduce(v)
+        row, _ = self.reduce(v)
         if not row:
             return None
         p = min(row)
@@ -172,12 +201,23 @@ class _Echelon:
         if lead == -1:
             row = {j: -c for j, c in row.items()}
         elif lead != 1:
-            row = {j: Fraction(c) / lead for j, c in row.items()}
-            row = {j: c.numerator if c.denominator == 1 else c for j, c in row.items()}
+            g = gcd(*row.values())
+            if lead < 0:
+                g = -g
+            if g != 1:
+                row = {j: c // g for j, c in row.items()}
+        lead = row[p]
+        rows = self.rows
         occurs = self.occurs
         for q in occurs.pop(p, ()):
-            other = self.rows[q]
+            other = rows[q]
             c = other.pop(p)
+            if lead != 1:
+                g = gcd(c, lead)
+                m = lead // g
+                if m != 1:
+                    other = rows[q] = {j: x * m for j, x in other.items()}
+                c //= g
             for j, r in row.items():
                 if j == p:
                     continue
@@ -189,10 +229,14 @@ class _Echelon:
                 else:
                     del other[j]
                     occurs[j].discard(q)
+            if other[q] != 1:
+                g = gcd(*other.values())
+                if g != 1:
+                    rows[q] = {j: x // g for j, x in other.items()}
         for j in row:
             if j != p:
                 occurs.setdefault(j, set()).add(p)
-        self.rows[p] = row
+        rows[p] = row
         return p
 
     @property
@@ -218,8 +262,14 @@ class Subspace:
 
 def _subspace_from_echelon(ech: _Echelon) -> Subspace:
     pivots = tuple(sorted(ech.rows))
-    basis = tuple(SparseVector(ech.dimension, ech.rows[p]) for p in pivots)
-    return Subspace(ech.dimension, basis, pivots)
+    basis = []
+    for p in pivots:
+        row = ech.rows[p]
+        lead = row[p]
+        if lead != 1:
+            row = {j: Fraction(c, lead) for j, c in row.items()}
+        basis.append(SparseVector(ech.dimension, row))
+    return Subspace(ech.dimension, tuple(basis), pivots)
 
 
 def _common_dimension(vectors: Iterable[SparseVector]) -> tuple[list[SparseVector], int]:
@@ -257,8 +307,10 @@ def contains(space: Subspace, v: SparseVector) -> bool:
             f"dimension mismatch: {space.ambient_dimension} vs {v.dimension}"
         )
     ech = _Echelon(space.ambient_dimension)
-    ech.rows = {p: dict(b.entries) for p, b in zip(space.pivots, space.basis)}
-    return not ech.reduce(v.entries)
+    # a reduced row echelon row scaled to ints by the lcm of its
+    # denominators is primitive, with that lcm at its pivot
+    ech.rows = {p: _as_ints(b.entries)[0] for p, b in zip(space.pivots, space.basis)}
+    return not ech.reduce(v.entries)[0]
 
 
 def nullspace(vectors: Iterable[SparseVector], dimension: int) -> Subspace:
@@ -274,7 +326,8 @@ def nullspace(vectors: Iterable[SparseVector], dimension: int) -> Subspace:
             continue
         vec = {f: 1}
         for p in ech.occurs.get(f, ()):
-            vec[p] = -ech.rows[p][f]
+            row = ech.rows[p]
+            vec[p] = -Fraction(row[f], row[p])
         raw.append(SparseVector(dimension, vec))
     return span(raw, dimension)
 
@@ -314,9 +367,8 @@ def solve_affine(
         raise NonUniqueSolutionError("solution set is positive-dimensional")
     out: dict[int, Fraction] = {}
     for p, row in ech.rows.items():
-        c = -row.get(k, _ZERO)
-        if c:
-            _axpy(out, unknowns_basis[p].entries, -c)
+        if k in row:
+            _axpy(out, unknowns_basis[p].entries, Fraction(row[k], row[p]))
     return SparseVector(dim, out)
 
 
@@ -340,7 +392,7 @@ def coordinates_in_span(
         p = ech.insert(aug)
         if p is not None and p >= dim:
             raise NonUniqueSolutionError("basis vectors are linearly dependent")
-    red = ech.reduce(target.entries)
+    red, den = ech.reduce(target.entries)
     if any(j < dim for j in red):
         raise NoSolutionError("target is outside the span")
-    return [Fraction(-red.get(dim + j, 0)) for j in range(k)]
+    return [Fraction(-red.get(dim + j, 0), den) for j in range(k)]

@@ -1,10 +1,23 @@
 from hypothesis import strategies as st
 
 from mobius_centers import GROUP_ALGEBRA, NILCOXETER, ZERO_HECKE
+from mobius_centers.algebra import AlgebraParams
 from mobius_centers.perm import Permutation
 
 PRESETS = [NILCOXETER, ZERO_HECKE, GROUP_ALGEBRA]
 PRESET_IDS = ["nilcoxeter", "0-hecke", "group"]
+
+# the presets and drawn pairs (a, b): zero, negative and non-integral
+# entries, both entries nonzero, and both non-integral
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero = rationals.filter(bool)
+nonintegral = rationals.filter(lambda c: c.denominator > 1)
+algebras = st.one_of(
+    st.sampled_from(PRESETS),
+    st.builds(AlgebraParams, rationals, rationals),
+    st.builds(AlgebraParams, nonzero, nonzero),
+    st.builds(AlgebraParams, nonintegral, nonintegral),
+)
 
 
 @st.composite

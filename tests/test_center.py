@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import PRESETS, PRESET_IDS
+from conftest import PRESETS, PRESET_IDS, algebras
 from mobius_centers.algebra import (
     GROUP_ALGEBRA,
     NILCOXETER,
@@ -12,6 +14,7 @@ from mobius_centers.algebra import (
     basis_element,
     element_to_vector,
     mul,
+    parse_algebra,
     trace,
     vector_to_element,
     zero,
@@ -28,7 +31,7 @@ from mobius_centers.centers import (
     verify_hn_conjecture,
 )
 from mobius_centers.linalg import span
-from mobius_centers.partitions import center_dim_formula
+from mobius_centers.partitions import center_dim_formula, partitions
 from mobius_centers.perm import evaluate, longest_element, symmetric_group
 from mobius_centers.quotients import commutator_span, mobius_classes, quotient_dim
 
@@ -89,6 +92,28 @@ def test_golden_n7_dimension_by_all_routes(params):
     assert quotient_dim(7, params, twisted=True) == 16
     assert center(7, params).dim == 16
     assert time.perf_counter() - start < 120.0
+
+
+@given(st.integers(min_value=1, max_value=4), algebras)
+@settings(max_examples=60, deadline=None)
+def test_rank_routes_agree_for_any_pair(n, params):
+    # the trace form is nondegenerate for every (a, b), so the center is
+    # dual to the twisted quotient and the twisted center to the plain one
+    assert quotient_dim(n, params, twisted=True) == center(n, params).dim
+    assert quotient_dim(n, params, twisted=False) == twisted_center(n, params).dim
+
+
+@pytest.mark.parametrize("pair", ["2/3,1/2", "5,5", "1,1/3"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_golden_generic_pairs_by_both_routes(n, pair):
+    # positive pairs away from the presets give a semisimple algebra, whose
+    # center has one dimension per irreducible, p(n) of them: p(5) = 7 and
+    # p(6) = 11; the elimination scales at non-unit pivots here
+    params = parse_algebra(pair)
+    want = {5: 7, 6: 11}[n]
+    assert len(partitions(n)) == want
+    assert quotient_dim(n, params, twisted=True) == want
+    assert center(n, params).dim == want
 
 
 @pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)

@@ -1,12 +1,15 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobius_centers.algebra import ELEMENT_SCHEMA
 from mobius_centers.centers import CONJECTURE_REPORT_SCHEMA
-from mobius_centers.cli import main
+from mobius_centers.cli import _render_json, main
 from mobius_centers.quotients import CLASS_REPORT_SCHEMA
 
 
@@ -42,6 +45,20 @@ def test_dim_custom_params(capsys):
     payload = json.loads(out)
     assert payload["algebra"] == "0-hecke"
     assert payload["agree"]
+
+
+def test_dim_generic_pair_n6(capsys):
+    status, out, _ = run(capsys, "dim", "--algebra", "2/3,1/2", "-n", "6", "--format", "json")
+    assert status == 0
+    assert json.loads(out) == {
+        "n": 6,
+        "algebra": "2/3,1/2",
+        "formula": 12,
+        "formula_applies": False,
+        "twisted_quotient_rank": 11,
+        "commutant_rank": 11,
+        "agree": True,
+    }
 
 
 def test_classes_json_schema(capsys):
@@ -248,3 +265,27 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     jsonschema.validate(payload, CLASS_REPORT_SCHEMA)
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and
+# astral characters, which json escapes
+json_text = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x7f\u00e9\u2028\U0001f600'))
+)
+json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.lists(inner) | st.lists(st.integers()) | st.dictionaries(json_text, inner),
+    max_leaves=40,
+)
+
+
+@given(json_payloads)
+@settings(max_examples=300, deadline=None)
+def test_render_json_matches_json_dumps(payload):
+    assert _render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [1.5, (1, 2), Fraction(1, 2), {"a": [1, 2.0]}, {1: 2}])
+def test_render_json_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        _render_json(payload)

@@ -12,10 +12,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PRESETS
+from conftest import algebras, rationals
 from mobius_centers.algebra import (
     AlgebraElement,
-    AlgebraParams,
     basis_element,
     generator_terms,
     gram_matrix,
@@ -32,15 +31,6 @@ from mobius_centers.linalg import SparseVector
 from mobius_centers.perm import reduced_word, symmetric_group
 from mobius_centers.quotients import generator_vectors
 
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-nonzero = rationals.filter(bool)
-nonintegral = rationals.filter(lambda c: c.denominator > 1)
-algebras = st.one_of(
-    st.sampled_from(PRESETS),
-    st.builds(AlgebraParams, rationals, rationals),
-    st.builds(AlgebraParams, nonzero, nonzero),
-    st.builds(AlgebraParams, nonintegral, nonintegral),
-)
 sizes = st.integers(min_value=1, max_value=4)
 
 

@@ -1,5 +1,6 @@
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -287,11 +288,29 @@ entries = st.one_of(
     st.integers(min_value=-6, max_value=6),
     st.fractions(min_value=-4, max_value=4, max_denominator=5),
 )
+# coefficients far from +-1: 41-bit numerators over many distinct
+# denominators, so nearly every pivot scales and the lcm of a row's
+# denominators is large
+large_entries = st.one_of(
+    st.just(0),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.integers(min_value=1, max_value=10**6),
+    ),
+)
+any_entries = st.one_of(entries, large_entries)
 
 
 def dense_matrices(cols, max_rows=7):
-    return st.lists(
-        st.lists(entries, min_size=cols, max_size=cols), min_size=0, max_size=max_rows
+    # one entry strategy per matrix, so small-entry matrices keep their
+    # cancellations and large-entry ones scale at every pivot
+    return st.sampled_from([entries, large_entries]).flatmap(
+        lambda elements: st.lists(
+            st.lists(elements, min_size=cols, max_size=cols),
+            min_size=0,
+            max_size=max_rows,
+        )
     )
 
 
@@ -325,18 +344,31 @@ def assert_fractions(values):
     assert all(type(c) is Fraction for c in values)
 
 
+def assert_echelon_invariant(ech):
+    # every stored row is the primitive int multiple of its reduced row
+    # echelon row, and occurs[j] lists exactly the rows with an entry in
+    # the non-pivot column j
+    rows = ech.rows
+    for p, row in rows.items():
+        assert all(type(c) is int for c in row.values()), row
+        assert row[p] > 0, row
+        assert not (row.keys() & rows.keys()) - {p}, row
+        assert gcd(*row.values()) == 1, row
+    assert not ech.occurs.keys() & rows.keys()
+    columns = {j for row in rows.values() for j in row} - rows.keys()
+    for j in columns | ech.occurs.keys():
+        assert ech.occurs.get(j, set()) == {p for p, row in rows.items() if j in row}
+
+
 @contextmanager
 def watched_echelon():
-    """Check, after every insertion, that the echelon holds only ints and
-    Fractions (never a float)."""
+    """Check the echelon invariant after every insertion."""
     original = linalg._Echelon.insert
     inserts = []
 
     def insert(self, v):
         pivot = original(self, v)
-        for row in self.rows.values():
-            for c in row.values():
-                assert type(c) in (int, Fraction), repr(c)
+        assert_echelon_invariant(self)
         inserts.append(pivot)
         return pivot
 
@@ -369,7 +401,7 @@ def test_span_and_nullspace_match_dense_oracle_under_shuffle(system, rnd):
         st.just(cols),
         dense_matrices(cols, max_rows=4).filter(bool),
         dense_matrices(cols),
-        st.lists(entries, min_size=7, max_size=7),
+        st.lists(any_entries, min_size=7, max_size=7),
     )), st.randoms())
 @settings(max_examples=150, deadline=None)
 def test_solve_affine_matches_dense_oracle(system, rnd):
@@ -399,7 +431,7 @@ def test_solve_affine_matches_dense_oracle(system, rnd):
     lambda cols: st.tuples(
         st.just(cols),
         dense_matrices(cols, max_rows=5).filter(bool),
-        st.lists(entries, min_size=5, max_size=5),
+        st.lists(any_entries, min_size=5, max_size=5),
     )), st.randoms())
 @settings(max_examples=150, deadline=None)
 def test_coordinates_in_span_match_dense_oracle(system, rnd):
@@ -419,3 +451,26 @@ def test_coordinates_in_span_match_dense_oracle(system, rnd):
             got = coordinates_in_span(basis, target)
             assert got == coeffs
             assert_fractions(got)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.tuples(
+        st.just(cols),
+        dense_matrices(cols),
+        st.lists(any_entries, min_size=7, max_size=7),
+        st.lists(any_entries, min_size=cols, max_size=cols),
+    )))
+@settings(max_examples=150, deadline=None)
+def test_contains_matches_dense_rank_oracle(system):
+    # the stored basis is rational; contains must scale each row to ints
+    # and decide membership exactly, for combinations of the spanning rows
+    # and for the same combinations moved by an arbitrary offset
+    cols, matrix, coeffs, offset = system
+    with watched_echelon():
+        space = span(sparse_rows(matrix, cols), cols)
+    combo = [sum((c * Fraction(row[j]) for c, row in zip(coeffs, matrix)), Fraction(0))
+             for j in range(cols)]
+    moved = [x + Fraction(y) for x, y in zip(combo, offset)]
+    for target in (combo, moved):
+        inside = dense_rank_oracle(matrix + [target]) == dense_rank_oracle(matrix)
+        assert contains(space, sparse_rows([target], cols)[0]) == inside

@@ -136,6 +136,13 @@ def test_hecke_class_count_matches_quotient_dim(n):
     assert classes.zero_class is None
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_group_class_count_matches_quotient_dim(n):
+    classes = mobius_classes(n, GROUP_ALGEBRA)
+    assert len(classes.classes) == quotient_dim(n, GROUP_ALGEBRA, twisted=True)
+    assert classes.zero_class is None
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_nc_classes_have_constant_length_and_cycle_type(n):
     for members in mobius_classes(n, NILCOXETER).classes:
