@@ -55,7 +55,6 @@ __all__ = [
     "involve",
     "right_complements",
     "gram_matrix",
-    "gram_rows",
     "RelationCheck",
     "RelationReport",
     "check_defining_relations",
@@ -372,15 +371,6 @@ def gram_matrix(n: int, params: AlgebraParams) -> list[list[Fraction]]:
     return [
         [_ZERO if c == 0 else _ONE if c == 1 else Fraction(c) for c in row]
         for row in rows
-    ]
-
-
-def gram_rows(n: int, params: AlgebraParams) -> list[SparseVector]:
-    """The rows of ``gram_matrix(n, params)`` as sparse vectors."""
-    order = symmetric_group(n).order
-    return [
-        SparseVector(order, {v: c for v, c in enumerate(row) if c})
-        for row in gram_matrix(n, params)
     ]
 
 

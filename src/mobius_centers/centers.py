@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .algebra import (
     NILCOXETER,
@@ -65,24 +66,21 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _constraint_rows(n: int, params: AlgebraParams, twisted: bool) -> list[SparseVector]:
-    """Rows of the linear system cutting out the (twisted) center.
+def _constraint_rows(n: int, params: AlgebraParams, twisted: bool) -> Iterator[dict]:
+    """Rows of the linear system cutting out the (twisted) center, as dicts.
 
     Row (i, u) collects, over columns v, the coefficient of T_u in
     T_i T_v - T_v T_i (plain) or T_v T_i - T_{n-i} T_v (twisted).  These are
     the transposed generator commutators; the twisted ones are those of
     generator n - i, negated.
     """
-    order = symmetric_group(n).order
     sign = -1 if twisted else 1
-    out = []
     for i in range(1, n):
         rows: dict[int, dict[int, int | Fraction]] = {}
         for k, diff in enumerate(commutator_terms(n, params, n - i if twisted else i, i)):
             for u, c in diff.items():
                 rows.setdefault(u, {})[k] = sign * c
-        out.extend(SparseVector(order, r) for r in rows.values())
-    return out
+        yield from rows.values()
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,10 @@ integer multiple of its reduced row echelon row: int entries with content
 gcd 1, a positive entry at its pivot and none at any other pivot.  A
 ``Fraction`` is built only when a result leaves the elimination, by one
 division by the pivot entry.
+
+``span``, ``rank`` and ``nullspace`` take rows as ``SparseVector``s or, given
+the dimension, as the kernel's dicts of nonzero int or ``Fraction`` entries.
+Every vector and subspace returned holds ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -121,6 +125,9 @@ class SparseVector:
             raise ValueError(
                 f"dimension mismatch: {self.dimension} vs {other.dimension}"
             )
+
+
+_Row = SparseVector | Mapping[int, Fraction | int]
 
 
 def _axpy(v: dict, row: Mapping[int, Fraction], c: Fraction) -> None:
@@ -283,21 +290,30 @@ def _common_dimension(vectors: Iterable[SparseVector]) -> tuple[list[SparseVecto
     return vs, dim
 
 
-def span(vectors: Iterable[SparseVector], dimension: int | None = None) -> Subspace:
-    """Reduced row echelon basis of the span, computed exactly."""
-    vs = list(vectors)
+def _echelon(vectors: Iterable[_Row], dimension: int | None) -> _Echelon:
+    """The echelon of ``vectors``, the one loop where rows enter elimination:
+    a ``SparseVector`` is checked against ``dimension``, a dict goes in as is."""
     if dimension is None:
-        vs, dimension = _common_dimension(vs)
+        vectors, dimension = _common_dimension(vectors)
     ech = _Echelon(dimension)
-    for v in vs:
-        if v.dimension != dimension:
-            raise ValueError(f"dimension mismatch: {v.dimension} vs {dimension}")
-        ech.insert(v.entries)
-    return _subspace_from_echelon(ech)
+    for v in vectors:
+        if isinstance(v, SparseVector):
+            if v.dimension != dimension:
+                raise ValueError(f"dimension mismatch: {v.dimension} vs {dimension}")
+            v = v.entries
+        ech.insert(v)
+    return ech
 
 
-def rank(vectors: Iterable[SparseVector], dimension: int | None = None) -> int:
-    return span(vectors, dimension).dim
+def span(vectors: Iterable[_Row], dimension: int | None = None) -> Subspace:
+    """Reduced row echelon basis of the span, computed exactly.  Rows are
+    ``SparseVector``s, or dicts when ``dimension`` is given."""
+    return _subspace_from_echelon(_echelon(vectors, dimension))
+
+
+def rank(vectors: Iterable[_Row], dimension: int | None = None) -> int:
+    """Dimension of the span, with no basis built; rows as for ``span``."""
+    return _echelon(vectors, dimension).dim
 
 
 def contains(space: Subspace, v: SparseVector) -> bool:
@@ -313,13 +329,10 @@ def contains(space: Subspace, v: SparseVector) -> bool:
     return not ech.reduce(v.entries)[0]
 
 
-def nullspace(vectors: Iterable[SparseVector], dimension: int) -> Subspace:
-    """The space of x with ``row . x = 0`` for every input row."""
-    ech = _Echelon(dimension)
-    for v in vectors:
-        if v.dimension != dimension:
-            raise ValueError(f"dimension mismatch: {v.dimension} vs {dimension}")
-        ech.insert(v.entries)
+def nullspace(vectors: Iterable[_Row], dimension: int) -> Subspace:
+    """The space of x with ``row . x = 0`` for every input row; rows as for
+    ``span``."""
+    ech = _echelon(vectors, dimension)
     raw = []
     for f in range(dimension):
         if f in ech.rows:
@@ -328,7 +341,7 @@ def nullspace(vectors: Iterable[SparseVector], dimension: int) -> Subspace:
         for p in ech.occurs.get(f, ()):
             row = ech.rows[p]
             vec[p] = -Fraction(row[f], row[p])
-        raw.append(SparseVector(dimension, vec))
+        raw.append(vec)
     return span(raw, dimension)
 
 
@@ -348,19 +361,16 @@ def solve_affine(
     k = len(unknowns_basis)
     # Column k holds the negated right-hand side; a solution c is then a
     # nullvector of the augmented rows with last coordinate 1.
-    ech = _Echelon(k + 1)
-    for cvec, value in constraints:
-        if cvec.dimension != dim:
-            raise ValueError(f"dimension mismatch: {cvec.dimension} vs {dim}")
-        row = {}
-        for j, u in enumerate(unknowns_basis):
-            c = cvec.dot(u)
-            if c:
-                row[j] = c
-        value = Fraction(value)
-        if value:
-            row[k] = -value
-        ech.insert(row)
+    def rows():
+        for cvec, value in constraints:
+            if cvec.dimension != dim:
+                raise ValueError(f"dimension mismatch: {cvec.dimension} vs {dim}")
+            row = {j: c for j, u in enumerate(unknowns_basis) if (c := cvec.dot(u))}
+            if value:
+                row[k] = -Fraction(value)
+            yield row
+
+    ech = _echelon(rows(), k + 1)
     if k in ech.rows:
         raise NoSolutionError("inconsistent constraint system")
     if len(ech.rows) < k:
@@ -383,15 +393,12 @@ def coordinates_in_span(
     vs, dim = _common_dimension(basis)
     if target.dimension != dim:
         raise ValueError(f"dimension mismatch: {target.dimension} vs {dim}")
-    # Track combinations through elimination with a tail of k extra columns.
+    # Track combinations through elimination with a tail of k extra columns;
+    # a pivot in the tail is a combination of the basis that vanishes.
     k = len(vs)
-    ech = _Echelon(dim + k)
-    for j, v in enumerate(vs):
-        aug = dict(v.entries)
-        aug[dim + j] = _ONE
-        p = ech.insert(aug)
-        if p is not None and p >= dim:
-            raise NonUniqueSolutionError("basis vectors are linearly dependent")
+    ech = _echelon(({**v.entries, dim + j: _ONE} for j, v in enumerate(vs)), dim + k)
+    if any(p >= dim for p in ech.rows):
+        raise NonUniqueSolutionError("basis vectors are linearly dependent")
     red, den = ech.reduce(target.entries)
     if any(j < dim for j in red):
         raise NoSolutionError("target is outside the span")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from . import linalg
 from .algebra import (
@@ -44,25 +45,28 @@ class UnsupportedParamsError(ValueError):
     """The operation is only defined for specific preset algebras."""
 
 
+def _commutator_rows(n: int, params: AlgebraParams, twisted: bool) -> Iterator[dict]:
+    """The rows of ``generator_vectors`` as the kernel's dicts."""
+    for i in range(1, n):
+        for diff in commutator_terms(n, params, i, n - i if twisted else i):
+            if diff:
+                yield diff
+
+
 def generator_vectors(
     n: int, params: AlgebraParams, twisted: bool
 ) -> list[SparseVector]:
     """Vectors of T_i * x - x * T_j over generators i and basis x, with
     j = n - i when twisted and j = i otherwise."""
     order = symmetric_group(n).order
-    return [
-        SparseVector(order, diff)
-        for i in range(1, n)
-        for diff in commutator_terms(n, params, i, n - i if twisted else i)
-        if diff
-    ]
+    return [SparseVector(order, diff) for diff in _commutator_rows(n, params, twisted)]
 
 
 @lru_cache(maxsize=None)
 def twisted_commutator_span(n: int, params: AlgebraParams) -> Subspace:
     """Span of { T_i x - x T_{n-i} } inside the n!-dimensional algebra."""
     return linalg.span(
-        generator_vectors(n, params, twisted=True),
+        _commutator_rows(n, params, twisted=True),
         symmetric_group(n).order,
     )
 
@@ -71,14 +75,15 @@ def twisted_commutator_span(n: int, params: AlgebraParams) -> Subspace:
 def commutator_span(n: int, params: AlgebraParams) -> Subspace:
     """Span of { T_i x - x T_i }."""
     return linalg.span(
-        generator_vectors(n, params, twisted=False),
+        _commutator_rows(n, params, twisted=False),
         symmetric_group(n).order,
     )
 
 
 def quotient_dim(n: int, params: AlgebraParams, twisted: bool) -> int:
-    space = twisted_commutator_span(n, params) if twisted else commutator_span(n, params)
-    return symmetric_group(n).order - space.dim
+    """n! minus the rank of the (twisted) commutator rows; no span is kept."""
+    order = symmetric_group(n).order
+    return order - linalg.rank(_commutator_rows(n, params, twisted), order)
 
 
 class _UnionFind:

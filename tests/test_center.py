@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PRESETS, PRESET_IDS, algebras
@@ -33,7 +33,12 @@ from mobius_centers.centers import (
 from mobius_centers.linalg import span
 from mobius_centers.partitions import center_dim_formula, partitions
 from mobius_centers.perm import evaluate, longest_element, symmetric_group
-from mobius_centers.quotients import commutator_span, mobius_classes, quotient_dim
+from mobius_centers.quotients import (
+    commutator_span,
+    mobius_classes,
+    quotient_dim,
+    twisted_commutator_span,
+)
 
 T = basis_element
 
@@ -92,6 +97,36 @@ def test_golden_n7_dimension_by_all_routes(params):
     assert quotient_dim(7, params, twisted=True) == 16
     assert center(7, params).dim == 16
     assert time.perf_counter() - start < 120.0
+
+
+@pytest.mark.parametrize(
+    "params, want", [(NILCOXETER, 26), (ZERO_HECKE, 26), (GROUP_ALGEBRA, 22)], ids=PRESET_IDS
+)
+def test_golden_n8_dimension_by_both_routes(params, want):
+    # 26 classes for both presets by the formula, and p(8) = 22 for the
+    # group algebra; each takes several seconds of CPU
+    assert want == (len(partitions(8)) if params == GROUP_ALGEBRA else center_dim_formula(8))
+    assert quotient_dim(8, params, twisted=True) == want
+    assert center(8, params).dim == want
+
+
+@given(st.integers(min_value=1, max_value=4), algebras)
+@example(4, NILCOXETER)
+@example(4, ZERO_HECKE)
+@example(4, GROUP_ALGEBRA)
+@settings(max_examples=40, deadline=None)
+def test_public_subspaces_hold_fractions(n, params):
+    # rows reach the echelon as int or Fraction dicts; every basis that
+    # leaves it holds Fractions
+    for space in (
+        center(n, params),
+        twisted_center(n, params),
+        twisted_commutator_span(n, params),
+        commutator_span(n, params),
+    ):
+        for v in space.basis:
+            assert v.entries
+            assert all(type(c) is Fraction for c in v.entries.values())
 
 
 @given(st.integers(min_value=1, max_value=4), algebras)

@@ -76,6 +76,12 @@ def assert_fraction_entries(vectors):
         assert all(type(c) is Fraction for c in v.entries.values())
 
 
+def assert_kernel_entries(rows):
+    # the form rows take into the echelon: nonzero ints or Fractions
+    for row in rows:
+        assert all(type(c) in (int, Fraction) and c for c in row.values())
+
+
 @given(sizes, algebras)
 @settings(max_examples=80, deadline=None)
 def test_generator_terms_and_single_term_actions_match_element_products(n, params):
@@ -107,11 +113,14 @@ def test_generator_vectors_match_element_products(n, params, twisted):
 @settings(max_examples=60, deadline=None)
 def test_constraint_rows_match_element_products(n, params, twisted):
     # Rows are compared as a multiset: their order within one generator
-    # depends only on which entry of a product is listed first.
-    got = _constraint_rows(n, params, twisted)
+    # depends only on which entry of a product is listed first.  They come
+    # as a one-shot generator of plain dicts.
+    rows = _constraint_rows(n, params, twisted)
+    assert iter(rows) is rows
+    got = list(rows)
     want = reference_constraint_rows(n, params, twisted)
-    assert sorted(as_entries(got)) == sorted(as_entries(want))
-    assert_fraction_entries(got)
+    assert sorted(sorted(r.items()) for r in got) == sorted(as_entries(want))
+    assert_kernel_entries(got)
 
 
 def reference_mul(x, y):

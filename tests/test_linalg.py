@@ -100,6 +100,14 @@ def test_span_dimension_mismatch():
         span([vec(2, e0=1), vec(3, e0=1)])
 
 
+@pytest.mark.parametrize("op", [span, rank, nullspace])
+def test_sparse_vector_of_wrong_dimension_is_refused(op):
+    # dict rows go in unchecked; a SparseVector row is checked against the
+    # given dimension even among dicts
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        op([{0: 1}, vec(3, e0=1)], 2)
+
+
 def test_nc3_twisted_generators_have_rank_three():
     vectors = generator_vectors(3, PRESETS[0], twisted=True)
     assert rank(vectors, symmetric_group(3).order) == 3
@@ -392,6 +400,29 @@ def test_span_and_nullspace_match_dense_oracle_under_shuffle(system, rnd):
     assert len(inserts) >= 2 * len(vectors)
     assert dense(space.basis, cols) == dense_rref(matrix, cols)
     assert dense(null.basis, cols) == dense_nullspace(matrix, cols)
+    for b in space.basis + null.basis:
+        assert_fractions(b.entries.values())
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.tuples(st.just(cols), dense_matrices(cols))))
+@settings(max_examples=150, deadline=None)
+def test_dict_rows_match_sparse_vector_rows(system):
+    # the kernel's row form: a one-shot generator of dicts of nonzero int or
+    # Fraction entries, which must give the same canonical results as the
+    # same rows wrapped in SparseVectors
+    cols, matrix = system
+    vectors = sparse_rows(matrix, cols)
+
+    def dict_rows():
+        return ({j: x for j, x in enumerate(row) if x} for row in matrix)
+
+    with watched_echelon():
+        space = span(dict_rows(), cols)
+        null = nullspace(dict_rows(), cols)
+        assert space == span(vectors, cols)
+        assert null == nullspace(vectors, cols)
+        assert rank(dict_rows(), cols) == space.dim
     for b in space.basis + null.basis:
         assert_fractions(b.entries.values())
 
