@@ -475,16 +475,22 @@ def single_term_actions(
             "single-term action tables require a preset algebra "
             "(nilcoxeter, 0-hecke or group)"
         )
-    # In each preset one of a, b is 0 and the other is 0 or 1, so every
-    # product is a single basis element with coefficient 1, or nothing.
-    left, right = (
+    table = symmetric_group(n)
+    # An ascent, where the rank goes up (see PermTable), gives the moved
+    # element in every preset.  On a descent the group algebra also gives
+    # the moved element, the 0-Hecke algebra gives T_k and the Nilcoxeter
+    # algebra gives zero.
+    if params == GROUP_ALGEBRA:
+        return table.lmul, table.rmul
+    descent_to_k = params == ZERO_HECKE
+    ranks = table.index.values()  # 0, 1, ... as the ints the table holds
+    return tuple(
         tuple(
-            tuple(t[0][0] if t else -1 for t in generator_terms(n, params, i, side))
-            for i in range(1, n)
+            tuple([m if m > k else k if descent_to_k else -1 for k, m in zip(ranks, row)])
+            for row in side
         )
-        for side in (True, False)
+        for side in (table.lmul, table.rmul)
     )
-    return left, right
 
 
 def element_to_vector(x: AlgebraElement) -> SparseVector:

@@ -319,7 +319,7 @@ def _json_parts(o, newline: str, parts: list[str]) -> None:
             parts.append("[]")
             return
         inner = newline + "  "
-        if all(type(x) is int for x in o):
+        if {*map(type, o)} == {int}:
             parts.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
             return
         sep = "[" + inner

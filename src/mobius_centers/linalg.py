@@ -141,7 +141,12 @@ def _axpy(v: dict, row: Mapping[int, Fraction], c: Fraction) -> None:
 
 
 def _as_ints(v: Mapping[int, Fraction | int]) -> tuple[dict[int, int], int]:
-    """``v`` as int entries over one positive denominator: v = out / den."""
+    """``v`` as int entries over one positive denominator: v = out / den.
+
+    ``out`` is always a new dict, which the caller may change.
+    """
+    if {*map(type, v.values())} == {int}:
+        return dict(v), 1
     out = {j: c.numerator for j, c in v.items() if c.denominator == 1}
     if len(out) == len(v):
         return out, 1

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, product, repeat
 from itertools import permutations as _lex_images
-from itertools import product
+from math import factorial
+from operator import add
 
 __all__ = [
     "MAX_N",
@@ -202,6 +204,11 @@ class PermTable:
     the index of ``perms[k] o s_i``.  Every exhaustive computation downstream
     (spans, commutants, class closures) runs on these integer tables.
 
+    A generator raises the length exactly when it raises the rank: on a
+    descent, swapping the values i+1 and i (left) or the entries at
+    positions i and i+1 (right) puts the smaller one first.  So
+    ``lmul[i-1][k] < k`` iff i is a left descent of ``perms[k]``.
+
     ``derived`` holds tables that other modules build from this one, keyed
     by their own keys.  They share its lifetime: clearing the cache of
     ``symmetric_group`` drops them too.
@@ -224,6 +231,45 @@ class PermTable:
     def order(self) -> int:
         return len(self.perms)
 
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """``reduced_word(perms[k])`` for every rank k, built in one pass.
+
+        The first letter of the greedy word is the smallest left descent d,
+        and the rest is the word of ``s_d o perms[k]``, whose rank is
+        smaller, so visiting the ranks in order finds it already built.
+        """
+        words: list[Word] = [()]
+        lmul = self.lmul
+        for k in range(1, self.order):
+            for d, row in enumerate(lmul, start=1):
+                if row[k] < k:
+                    break
+            words.append((d,) + words[row[k]])
+        return tuple(words)
+
+
+def _rmul_row(n: int, p: int, ranks: list[int]) -> tuple[int, ...]:
+    """The ranks of ``w o s_{p+1}`` for every rank of w, in rank order.
+
+    Swapping the entries at positions p and p+1 (0-based) changes only the
+    Lehmer digits (c, d) there: to (d+1, c) on an ascent (c <= d) and to
+    (d, c-1) on a descent.  The rank therefore moves by an amount that
+    depends on (c, d) alone.  In rank order that pair stays put for
+    (n-2-p)! ranks at a time and runs through ``product`` order with period
+    (n-p)!.  Every entry is taken from ``ranks``, whose ints the table
+    shares, rather than made by the addition.
+    """
+    m = n - 2 - p
+    step = factorial(m)
+    deltas = [
+        step * ((d - c) * m + (m + 1 if c <= d else -1))
+        for c, d in product(range(m + 2), range(m + 1))
+    ]
+    period = [delta for delta in deltas for _ in range(step)]
+    moves = chain.from_iterable(repeat(period, len(ranks) // len(period)))
+    return tuple(map(ranks.__getitem__, map(add, ranks, moves)))
+
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> PermTable:
@@ -231,7 +277,8 @@ def symmetric_group(n: int) -> PermTable:
         raise ValueError(f"number of strands must be in 1..{MAX_N}, got {n}")
     images = list(_lex_images(range(1, n + 1)))
     perms = tuple(Permutation(img) for img in images)
-    index = {img: k for k, img in enumerate(images)}
+    ranks = list(range(len(images)))
+    index = dict(zip(images, ranks))
     # The lexicographic rank written in the factorial base is the Lehmer
     # code, whose digit sum is the inversion count.
     lengths = tuple(map(sum, product(*(range(m) for m in range(n, 0, -1)))))
@@ -244,10 +291,7 @@ def symmetric_group(n: int) -> PermTable:
             image[q - 1] = p
         inv.append(index[tuple(image)])
     # w o s_i swaps the entries at positions i and i+1 (0-based p = i-1).
-    rmul = tuple(
-        tuple(index[img[:p] + (img[p + 1], img[p]) + img[p + 2:]] for img in images)
-        for p in range(n - 1)
-    )
+    rmul = tuple(_rmul_row(n, p, ranks) for p in range(n - 1))
     # s_i o w is the inverse of w^{-1} o s_i.
     lmul = tuple(tuple(inv[row[j]] for j in inv) for row in rmul)
     return PermTable(

@@ -24,7 +24,7 @@ from .algebra import (
     single_term_actions,
 )
 from .linalg import SparseVector, Subspace
-from .perm import Permutation, compose, longest_element, reduced_word, symmetric_group
+from .perm import Permutation, compose, longest_element, symmetric_group
 
 __all__ = [
     "UnsupportedParamsError",
@@ -86,28 +86,6 @@ def quotient_dim(n: int, params: AlgebraParams, twisted: bool) -> int:
     return order - linalg.rank(_commutator_rows(n, params, twisted), order)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-
-
 @dataclass(frozen=True)
 class MobiusClasses:
     """The partition of the T_w basis under the band identifications.
@@ -145,23 +123,28 @@ def mobius_classes(n: int, params: AlgebraParams) -> MobiusClasses:
     table = symmetric_group(n)
     order = table.order
     left, right = single_term_actions(n, params)
-    uf = _UnionFind(order + 1)  # index `order` is the zero sink
-    sink = order
+    # Union-find with path halving; index `order` is the zero sink.
+    parent = list(range(order + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for i in range(1, n):
-        lrow = left[i - 1]
-        rrow = right[n - i - 1]
-        for k in range(order):
-            lk = lrow[k]
-            rk = rrow[k]
-            uf.union(lk if lk >= 0 else sink, rk if rk >= 0 else sink)
+        for x, y in zip(left[i - 1], right[n - i - 1]):
+            if x != y:
+                parent[find(x if x >= 0 else order)] = find(y if y >= 0 else order)
+
     # Visit the members by (length, lexicographic rank), which orders the
     # one-line words too: each group then lists its representative first,
     # and the groups appear in the order of their representatives.
     perms = table.perms
     groups: dict[int, list[Permutation]] = {}
     for k in sorted(range(order), key=table.lengths.__getitem__):
-        groups.setdefault(uf.find(k), []).append(perms[k])
-    zero_members = groups.pop(uf.find(sink), ())
+        groups.setdefault(find(k), []).append(perms[k])
+    zero_members = groups.pop(find(order), ())
     members = tuple(map(tuple, groups.values()))
     return MobiusClasses(
         n=n,
@@ -243,24 +226,26 @@ def classes_to_json(classes: MobiusClasses) -> dict:
     """Class report; cycle type and length are reported only for nilcoxeter,
     where they are constant per class."""
     is_nc = classes.params == NILCOXETER
+    table = symmetric_group(classes.n)
+    index, words = table.index, table.words
     out = []
     for members in classes.members:
         rep = members[0]
+        ranks = [index[w.image] for w in members]
         entry = {
-            "representative": list(reduced_word(rep)),
-            "members": [list(reduced_word(w)) for w in members],
+            "representative": list(words[ranks[0]]),
+            "members": [list(words[k]) for k in ranks],
         }
         if is_nc:
             entry["cycle_type"] = list(cycle_type(rep))
             entry["length"] = rep.length
         out.append(entry)
-    zero = classes.zero_class or frozenset()
+    # (length, rank) is the (length, one-line word) order
+    zero = sorted(index[w.image] for w in classes.zero_class or ())
+    zero.sort(key=table.lengths.__getitem__)
     return {
         "n": classes.n,
         "algebra": preset_name(classes.params) or "custom",
         "classes": out,
-        "zero_class": [
-            list(reduced_word(w))
-            for w in sorted(zero, key=lambda w: (w.length, w.image))
-        ],
+        "zero_class": [list(words[k]) for k in zero],
     }

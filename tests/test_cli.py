@@ -255,6 +255,21 @@ def test_classes_n7_golden_bytes(capsys, algebra, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_N7_SHA256[algebra, fmt]
 
 
+# sha256 of the json output at n = 8, recorded before rmul, the reduced
+# words and the action tables were read off the integer tables.
+CLASSES_N8_JSON_SHA256 = {
+    "nilcoxeter": "b26f5bbe76c4a707f2c4fe6ed1719ff524a82a5cbb1606b25ff32487cd3eebf6",
+    "0-hecke": "298b96f2f37c737867ae75401de9c6f06b8c1140395d6bc7d32ad4d8e9af2dfd",
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(CLASSES_N8_JSON_SHA256))
+def test_classes_n8_golden_bytes(capsys, algebra):
+    status, out, _ = run(capsys, "classes", "--algebra", algebra, "-n", "8", "--format", "json")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_N8_JSON_SHA256[algebra]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status, out, _ = run(

@@ -9,10 +9,11 @@ the reduced word of each term through ``mul_left_generator``.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import algebras, rationals
+from conftest import PRESET_IDS, PRESETS, algebras, rationals
 from mobius_centers.algebra import (
     AlgebraElement,
     basis_element,
@@ -99,6 +100,23 @@ def test_generator_terms_and_single_term_actions_match_element_products(n, param
                 if single is not None:
                     got = single[side][i - 1][k]
                     assert expect == ({} if got == -1 else {got: 1})
+
+
+def reference_single_term_actions(n, params):
+    # the action tables as read off generator_terms, one product at a time
+    return tuple(
+        tuple(
+            tuple(t[0][0] if t else -1 for t in generator_terms(n, params, i, side))
+            for i in range(1, n)
+        )
+        for side in (True, False)
+    )
+
+
+@pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_single_term_actions_match_generator_terms(n, params):
+    assert single_term_actions(n, params) == reference_single_term_actions(n, params)
 
 
 @given(sizes, algebras, st.booleans())

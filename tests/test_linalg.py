@@ -427,6 +427,29 @@ def test_dict_rows_match_sparse_vector_rows(system):
         assert_fractions(b.entries.values())
 
 
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.tuples(st.just(cols), dense_matrices(cols))))
+@settings(max_examples=150, deadline=None)
+def test_echelon_leaves_its_input_rows_unchanged(system):
+    # all-int rows skip the conversion to ints, and the echelon pops from
+    # what it works on: that must be a copy, never the caller's dict.
+    # Integral entries are given as ints, so that many rows take that path.
+    cols, matrix = system
+    rows = [
+        {j: int(x) if x.denominator == 1 else x for j, x in enumerate(map(Fraction, row)) if x}
+        for row in matrix
+    ]
+    ech = linalg._Echelon(cols)
+    for row in rows:
+        before = dict(row)
+        ech.reduce(row)
+        assert row == before
+        ech.insert(row)
+        assert row == before
+        ech.reduce(row)
+        assert row == before
+
+
 @given(st.integers(min_value=1, max_value=5).flatmap(
     lambda cols: st.tuples(
         st.just(cols),

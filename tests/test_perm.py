@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import perms_sharing_n
 from mobius_centers.perm import (
@@ -16,6 +16,7 @@ from mobius_centers.perm import (
     left_descent,
     longest_element,
     reduced_word,
+    swap_positions,
     swap_values,
     symmetric_group,
 )
@@ -227,3 +228,46 @@ def test_generator_length_step_random(perms):
     (w,) = perms
     for i in range(1, w.n):
         assert abs(compose(generator(w.n, i), w).length - w.length) == 1
+
+
+def assert_table_entries(table, k):
+    # every table entry of rank k against the Permutation operations
+    w = table.perms[k]
+    assert table.index[w.image] == k
+    assert table.lengths[k] == naive_inversions(w.image)
+    assert table.perms[table.inv[k]] == inverse(w)
+    for i in range(1, table.n):
+        right = table.rmul[i - 1][k]
+        left = table.lmul[i - 1][k]
+        assert table.perms[right] == swap_positions(w, i)
+        assert table.perms[left] == swap_values(w, i)
+        # a generator raises the length exactly when it raises the rank
+        assert (right > k) == (table.lengths[right] > table.lengths[k])
+        assert (left > k) == (table.lengths[left] > table.lengths[k])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tables_match_permutation_operations(n):
+    table = symmetric_group(n)
+    assert [w.image for w in table.perms] == sorted(w.image for w in table.perms)
+    assert table.perms[table.w0] == longest_element(n)
+    for k in range(table.order):
+        assert_table_entries(table, k)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_table_words_match_reduced_word(n):
+    table = symmetric_group(n)
+    assert len(table.words) == table.order
+    for w, word in zip(table.perms, table.words):
+        assert word == reduced_word(w)
+
+
+@given(perms_sharing_n(count=1, min_n=8, max_n=8))
+@settings(deadline=None)
+def test_tables_at_n8_match_permutation_operations(perms):
+    (w,) = perms
+    table = symmetric_group(8)
+    k = table.rank(w)
+    assert_table_entries(table, k)
+    assert table.words[k] == reduced_word(w) == descent_scan_word(w)
