@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from .linalg import SparseVector, format_rational, parse_rational
@@ -86,6 +87,11 @@ class AlgebraParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
+
+    @property
+    def denominator(self) -> int:
+        """The least D > 0 with D * a and D * b integral."""
+        return lcm(self.a.denominator, self.b.denominator)
 
 
 NILCOXETER = AlgebraParams(Fraction(0), Fraction(0))
@@ -412,6 +418,27 @@ def check_defining_relations(n: int, params: AlgebraParams) -> RelationReport:
     return RelationReport(n, params, tuple(checks))
 
 
+def _product_terms(
+    row: tuple[int, ...], ks: range, a, b, one
+) -> Iterator[tuple[tuple[int, int | Fraction], ...]]:
+    """The terms of each product whose moved index is ``row[k]``, for k in
+    ``ks``, with ``one`` as the coefficient of an ascent, ``a`` and ``b`` those
+    of a descent.  The rank goes up exactly when the length does (see
+    ``PermTable``)."""
+    for k in ks:
+        m = row[k]
+        if m > k:
+            yield ((m, one),)
+        elif a and b:
+            yield ((k, a), (m, b))
+        elif a:
+            yield ((k, a),)
+        elif b:
+            yield ((m, b),)
+        else:
+            yield ()
+
+
 def generator_terms(
     n: int, params: AlgebraParams, i: int, left: bool
 ) -> Iterator[tuple[tuple[int, int | Fraction], ...]]:
@@ -426,29 +453,33 @@ def generator_terms(
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index must be in 1..{n - 1}, got {i}")
     table = symmetric_group(n)
-    lengths = table.lengths
-    a, b = _integral(params.a), _integral(params.b)
-    for k, m in enumerate((table.lmul if left else table.rmul)[i - 1]):
-        if lengths[m] > lengths[k]:
-            yield ((m, 1),)
-        elif a and b:
-            yield ((k, a), (m, b))
-        elif a:
-            yield ((k, a),)
-        elif b:
-            yield ((m, b),)
-        else:
-            yield ()
+    row = (table.lmul if left else table.rmul)[i - 1]
+    return _product_terms(
+        row, range(table.order), _integral(params.a), _integral(params.b), 1
+    )
 
 
 def commutator_terms(
     n: int, params: AlgebraParams, i: int, j: int
-) -> Iterator[dict[int, int | Fraction]]:
-    """``T_i * T_k - T_k * T_j`` for each basis index k in order, as a dict of
-    nonzero coefficients keyed by basis index."""
+) -> Iterator[dict[int, int]]:
+    """``D * (T_i * T_k - T_k * T_j)`` for each basis index k, the highest
+    first, as a dict of nonzero int coefficients keyed by basis index.
+
+    D is ``params.denominator``, so that every coefficient is an int; it is 1
+    for the presets.  Scaling rows changes neither their span nor their
+    nullspace, and elimination works best on rows in this order (see
+    ``linalg._Echelon``).
+    """
+    for g in (i, j):
+        if not 1 <= g <= n - 1:
+            raise ValueError(f"generator index must be in 1..{n - 1}, got {g}")
+    table = symmetric_group(n)
+    d = params.denominator
+    a, b = int(params.a * d), int(params.b * d)
+    ks = range(table.order - 1, -1, -1)
     for left, right in zip(
-        generator_terms(n, params, i, left=True),
-        generator_terms(n, params, j, left=False),
+        _product_terms(table.lmul[i - 1], ks, a, b, d),
+        _product_terms(table.rmul[j - 1], ks, a, b, d),
     ):
         diff = dict(left)
         for u, c in right:

@@ -39,10 +39,10 @@ from .linalg import (
     NoSolutionError,
     SparseVector,
     Subspace,
-    coordinates_in_span,
     format_rational,
     nullspace,
     solve_affine,
+    span_coordinates,
 )
 from .perm import Permutation, compose, inverse, longest_element, reduced_word, symmetric_group
 from .quotients import mobius_classes
@@ -67,20 +67,24 @@ _ONE = Fraction(1)
 
 
 def _constraint_rows(n: int, params: AlgebraParams, twisted: bool) -> Iterator[dict]:
-    """Rows of the linear system cutting out the (twisted) center, as dicts.
+    """Rows of the linear system cutting out the (twisted) center, as int
+    dicts scaled by ``params.denominator``.
 
     Row (i, u) collects, over columns v, the coefficient of T_u in
     T_i T_v - T_v T_i (plain) or T_v T_i - T_{n-i} T_v (twisted).  These are
     the transposed generator commutators; the twisted ones are those of
-    generator n - i, negated.
+    generator n - i, negated.  Each generator's rows come by descending u,
+    the order elimination works best on (see ``linalg._Echelon``).
     """
     sign = -1 if twisted else 1
+    ks = range(symmetric_group(n).order - 1, -1, -1)
     for i in range(1, n):
-        rows: dict[int, dict[int, int | Fraction]] = {}
-        for k, diff in enumerate(commutator_terms(n, params, n - i if twisted else i, i)):
+        rows: dict[int, dict[int, int]] = {}
+        for k, diff in zip(ks, commutator_terms(n, params, n - i if twisted else i, i)):
             for u, c in diff.items():
                 rows.setdefault(u, {})[k] = sign * c
-        yield from rows.values()
+        for u in sorted(rows, reverse=True):
+            yield rows[u]
 
 
 @lru_cache(maxsize=None)
@@ -203,20 +207,17 @@ def multiplication_table(basis: CenterBasis) -> list[list[list[Fraction]]]:
     Products of central elements are central, so coordinates exist and are
     unique; failure to solve means the basis is not what it claims to be.
     """
-    vectors = [element_to_vector(z) for z in basis.elements]
-    table = []
-    for zi in basis.elements:
-        row = []
-        for zj in basis.elements:
-            product = element_to_vector(mul(zi, zj))
-            try:
-                row.append(coordinates_in_span(vectors, product))
-            except (NoSolutionError, NonUniqueSolutionError) as exc:
-                raise RuntimeError(
-                    f"center basis at n={basis.n} is inconsistent: {exc}"
-                ) from exc
-        table.append(row)
-    return table
+    elements = basis.elements
+    if not elements:
+        return []
+    try:
+        coordinates = span_coordinates([element_to_vector(z) for z in elements])
+        return [
+            [coordinates(element_to_vector(mul(zi, zj))) for zj in elements]
+            for zi in elements
+        ]
+    except (NoSolutionError, NonUniqueSolutionError) as exc:
+        raise RuntimeError(f"center basis at n={basis.n} is inconsistent: {exc}") from exc
 
 
 # --- 0-Hecke support report --------------------------------------------------

@@ -307,50 +307,71 @@ def _render_json(payload: dict) -> str:
     class report) with one join.
     """
     parts: list[str] = []
-    _json_parts(payload, "\n", parts)
+    _json_parts(payload, "\n", parts.append)
     parts.append("\n")
     return "".join(parts)
 
 
-def _json_parts(o, newline: str, parts: list[str]) -> None:
-    # newline is "\n" plus the indentation of the line that holds o
+# parts per write: a few hundred kB of a class report
+_JSON_CHUNK_PARTS = 4096
+
+
+def _write_json(payload: dict, handle) -> None:
+    """Write ``_render_json(payload)`` a chunk at a time, so that neither the
+    whole text nor the list of its parts is ever held."""
+    parts: list[str] = []
+
+    def emit(part: str) -> None:
+        parts.append(part)
+        if len(parts) >= _JSON_CHUNK_PARTS:
+            handle.write("".join(parts))
+            parts.clear()
+
+    _json_parts(payload, "\n", emit)
+    parts.append("\n")
+    handle.write("".join(parts))
+
+
+def _json_parts(o, newline: str, emit) -> None:
+    # newline is "\n" plus the indentation of the line that holds o; emit
+    # takes each part of the text in order
     if isinstance(o, list):
         if not o:
-            parts.append("[]")
+            emit("[]")
             return
         inner = newline + "  "
         if {*map(type, o)} == {int}:
-            parts.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            emit("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
             return
         sep = "[" + inner
         for x in o:
-            parts.append(sep)
-            _json_parts(x, inner, parts)
+            emit(sep)
+            _json_parts(x, inner, emit)
             sep = "," + inner
-        parts.append(newline + "]")
+        emit(newline + "]")
     elif isinstance(o, dict):
         if not o:
-            parts.append("{}")
+            emit("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for k, v in o.items():
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
-            parts.append(sep + encode_basestring_ascii(k) + ": ")
-            _json_parts(v, inner, parts)
+            emit(sep + encode_basestring_ascii(k) + ": ")
+            _json_parts(v, inner, emit)
             sep = "," + inner
-        parts.append(newline + "}")
+        emit(newline + "}")
     elif isinstance(o, str):
-        parts.append(encode_basestring_ascii(o))
+        emit(encode_basestring_ascii(o))
     elif o is None:
-        parts.append("null")
+        emit("null")
     elif o is True:
-        parts.append("true")
+        emit("true")
     elif o is False:
-        parts.append("false")
+        emit("false")
     elif type(o) is int:
-        parts.append(int.__repr__(o))
+        emit(int.__repr__(o))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -483,6 +504,15 @@ def _render_csv(command: str, payload: dict) -> str:
     return buf.getvalue()
 
 
+def _write_report(args, payload: dict, handle) -> None:
+    if args.format == "json":
+        _write_json(payload, handle)
+    elif args.format == "text":
+        handle.write(_render_text(args.command, payload))
+    else:
+        handle.write(_render_csv(args.command, payload))
+
+
 # --- entry point ---------------------------------------------------------------
 
 
@@ -538,15 +568,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    renderers = {"json": lambda p: _render_json(p),
-                 "text": lambda p: _render_text(args.command, p),
-                 "csv": lambda p: _render_csv(args.command, p)}
-    rendered = renderers[args.format](payload)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+            _write_report(args, payload, handle)
     else:
-        sys.stdout.write(rendered)
+        _write_report(args, payload, sys.stdout)
     return status
 
 

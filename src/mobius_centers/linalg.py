@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "Rational",
@@ -41,6 +41,7 @@ __all__ = [
     "nullspace",
     "solve_affine",
     "coordinates_in_span",
+    "span_coordinates",
 ]
 
 Rational = Fraction
@@ -167,6 +168,14 @@ class _Echelon:
     more than plain subtraction.  ``occurs[j]`` holds the pivots of the
     stored rows with an entry in the non-pivot column j; a new pivot p
     updates exactly the rows in ``occurs[p]``.
+
+    The echelon is canonical, so the result does not depend on the order
+    rows arrive in, but the work does.  A stored row has entries only at
+    and right of its pivot, its smallest column.  Rows fed highest index
+    first put each new pivot mostly left of the columns stored rows hold,
+    so few rows need the back-substitution; fed ascending, a new pivot
+    lands among their entries and is subtracted out of each.  The kernel's
+    row sources therefore yield rows highest basis index first.
     """
 
     def __init__(self, dimension: int):
@@ -395,16 +404,33 @@ def coordinates_in_span(
     The basis must be linearly independent (NonUniqueSolutionError otherwise);
     NoSolutionError if the target is outside the span.
     """
+    return span_coordinates(basis)(target)
+
+
+def span_coordinates(
+    basis: list[SparseVector],
+) -> Callable[[SparseVector], list[Fraction]]:
+    """``coordinates_in_span`` against one basis, inserted once: the
+    returned function maps a target to its coefficients.
+
+    Raises NonUniqueSolutionError at once if the basis is linearly
+    dependent; the function raises NoSolutionError for a target outside
+    the span.
+    """
     vs, dim = _common_dimension(basis)
-    if target.dimension != dim:
-        raise ValueError(f"dimension mismatch: {target.dimension} vs {dim}")
     # Track combinations through elimination with a tail of k extra columns;
     # a pivot in the tail is a combination of the basis that vanishes.
     k = len(vs)
     ech = _echelon(({**v.entries, dim + j: _ONE} for j, v in enumerate(vs)), dim + k)
     if any(p >= dim for p in ech.rows):
         raise NonUniqueSolutionError("basis vectors are linearly dependent")
-    red, den = ech.reduce(target.entries)
-    if any(j < dim for j in red):
-        raise NoSolutionError("target is outside the span")
-    return [Fraction(-red.get(dim + j, 0), den) for j in range(k)]
+
+    def coordinates(target: SparseVector) -> list[Fraction]:
+        if target.dimension != dim:
+            raise ValueError(f"dimension mismatch: {target.dimension} vs {dim}")
+        red, den = ech.reduce(target.entries)
+        if any(j < dim for j in red):
+            raise NoSolutionError("target is outside the span")
+        return [Fraction(-red.get(dim + j, 0), den) for j in range(k)]
+
+    return coordinates

@@ -12,6 +12,7 @@ identifications close up under union-find, with zero as an absorbing sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -46,7 +47,8 @@ class UnsupportedParamsError(ValueError):
 
 
 def _commutator_rows(n: int, params: AlgebraParams, twisted: bool) -> Iterator[dict]:
-    """The rows of ``generator_vectors`` as the kernel's dicts."""
+    """The rows of ``generator_vectors`` as the kernel's int dicts, scaled by
+    ``params.denominator``, each generator's highest basis index first."""
     for i in range(1, n):
         for diff in commutator_terms(n, params, i, n - i if twisted else i):
             if diff:
@@ -57,9 +59,17 @@ def generator_vectors(
     n: int, params: AlgebraParams, twisted: bool
 ) -> list[SparseVector]:
     """Vectors of T_i * x - x * T_j over generators i and basis x, with
-    j = n - i when twisted and j = i otherwise."""
+    j = n - i when twisted and j = i otherwise, in (i, x) order."""
     order = symmetric_group(n).order
-    return [SparseVector(order, diff) for diff in _commutator_rows(n, params, twisted)]
+    d = params.denominator
+    out: list[SparseVector] = []
+    for i in range(1, n):
+        rows = [diff for diff in commutator_terms(n, params, i, n - i if twisted else i) if diff]
+        out += (
+            SparseVector(order, {u: Fraction(c, d) for u, c in diff.items()})
+            for diff in reversed(rows)
+        )
+    return out
 
 
 @lru_cache(maxsize=None)

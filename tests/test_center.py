@@ -16,11 +16,13 @@ from mobius_centers.algebra import (
     mul,
     parse_algebra,
     trace,
+    unit,
     vector_to_element,
     zero,
 )
 from mobius_centers.centers import (
     CONJECTURE_REPORT_SCHEMA,
+    CenterBasis,
     center,
     conjecture_report_to_json,
     dual_center_basis,
@@ -138,14 +140,17 @@ def test_rank_routes_agree_for_any_pair(n, params):
     assert quotient_dim(n, params, twisted=False) == twisted_center(n, params).dim
 
 
-@pytest.mark.parametrize("pair", ["2/3,1/2", "5,5", "1,1/3"])
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize(
+    "n, pair",
+    [(n, pair) for n in (5, 6) for pair in ("1,1/3", "2/3,1/2", "5,5")] + [(7, "2/3,1/2")],
+)
 def test_golden_generic_pairs_by_both_routes(n, pair):
     # positive pairs away from the presets give a semisimple algebra, whose
-    # center has one dimension per irreducible, p(n) of them: p(5) = 7 and
-    # p(6) = 11; the elimination scales at non-unit pivots here
+    # center has one dimension per irreducible, p(n) of them: p(5) = 7,
+    # p(6) = 11 and p(7) = 15; the elimination scales at non-unit pivots
+    # here.  n = 7 takes a few seconds, so it runs for one pair only.
     params = parse_algebra(pair)
-    want = {5: 7, 6: 11}[n]
+    want = {5: 7, 6: 11, 7: 15}[n]
     assert len(partitions(n)) == want
     assert quotient_dim(n, params, twisted=True) == want
     assert center(n, params).dim == want
@@ -315,6 +320,22 @@ def test_h3_multiplication_table_frozen_and_consistent():
             for c, zk in zip(table[i][j], basis.elements):
                 rebuilt = rebuilt + zk.scaled(c)
             assert rebuilt == mul(zi, zj)
+
+
+@pytest.mark.parametrize(
+    "elements, reason",
+    [
+        # T_1 * T_1 = T_e leaves the span of T_1
+        ((basis_element(GROUP_ALGEBRA, evaluate((1,), 3)),), "target is outside the span"),
+        ((unit(GROUP_ALGEBRA, 3),) * 2, "basis vectors are linearly dependent"),
+    ],
+    ids=["not-closed", "dependent"],
+)
+def test_multiplication_table_rejects_an_inconsistent_basis(elements, reason):
+    labels = tuple(evaluate((), 3) for _ in elements)
+    basis = CenterBasis(3, GROUP_ALGEBRA, labels, elements)
+    with pytest.raises(RuntimeError, match=f"center basis at n=3 is inconsistent: {reason}"):
+        multiplication_table(basis)
 
 
 # --- the 0-Hecke support report --------------------------------------------------------

@@ -255,6 +255,19 @@ def test_classes_n7_golden_bytes(capsys, algebra, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_N7_SHA256[algebra, fmt]
 
 
+def test_classes_n7_json_output_file(tmp_path, capsys):
+    # the report is written in chunks; a file gets the same bytes as stdout
+    target = tmp_path / "classes.json"
+    status, out, _ = run(
+        capsys, "classes", "--algebra", "0-hecke", "-n", "7",
+        "--format", "json", "--output", str(target),
+    )
+    assert status == 0
+    assert out == ""
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == CLASSES_N7_SHA256["0-hecke", "json"]
+
+
 # sha256 of the json output at n = 8, recorded before rmul, the reduced
 # words and the action tables were read off the integer tables.
 CLASSES_N8_JSON_SHA256 = {

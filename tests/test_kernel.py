@@ -10,13 +10,15 @@ the reduced word of each term through ``mul_left_generator``.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PRESET_IDS, PRESETS, algebras, rationals
 from mobius_centers.algebra import (
     AlgebraElement,
+    AlgebraParams,
     basis_element,
+    commutator_terms,
     generator_terms,
     gram_matrix,
     mul,
@@ -28,9 +30,9 @@ from mobius_centers.algebra import (
     zero,
 )
 from mobius_centers.centers import _constraint_rows
-from mobius_centers.linalg import SparseVector
+from mobius_centers.linalg import SparseVector, nullspace, rank, span
 from mobius_centers.perm import reduced_word, symmetric_group
-from mobius_centers.quotients import generator_vectors
+from mobius_centers.quotients import _commutator_rows, generator_vectors
 
 sizes = st.integers(min_value=1, max_value=4)
 
@@ -132,13 +134,49 @@ def test_generator_vectors_match_element_products(n, params, twisted):
 def test_constraint_rows_match_element_products(n, params, twisted):
     # Rows are compared as a multiset: their order within one generator
     # depends only on which entry of a product is listed first.  They come
-    # as a one-shot generator of plain dicts.
+    # as a one-shot generator of plain dicts, scaled by params.denominator.
     rows = _constraint_rows(n, params, twisted)
     assert iter(rows) is rows
     got = list(rows)
-    want = reference_constraint_rows(n, params, twisted)
+    want = [v.scaled(params.denominator) for v in reference_constraint_rows(n, params, twisted)]
     assert sorted(sorted(r.items()) for r in got) == sorted(as_entries(want))
     assert_kernel_entries(got)
+
+
+@given(sizes, algebras, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_kernel_rows_are_nonzero_int_dicts(n, params, twisted):
+    # the rows elimination takes hold no Fraction, whatever (a, b) is
+    order = symmetric_group(n).order
+    rows = list(_constraint_rows(n, params, twisted))
+    for i in range(1, n):
+        rows += commutator_terms(n, params, i, n - i if twisted else i)
+    for row in rows:
+        assert type(row) is dict
+        assert all(type(j) is int and 0 <= j < order for j in row)
+        assert all(type(c) is int and c for c in row.values()), row
+
+
+@given(st.integers(min_value=1, max_value=5), algebras, st.booleans())
+@example(5, PRESETS[1], True)
+@example(5, AlgebraParams(Fraction(2, 3), Fraction(1, 2)), False)
+@settings(max_examples=30, deadline=None)
+def test_row_order_changes_no_result(n, params, twisted):
+    # The kernel feeds each generator's rows highest basis index first.  The
+    # echelon is canonical, so the same rows fed in reverse (each
+    # generator's lowest index first) give the same span, rank and
+    # nullspace, and the span is that of the Fraction generator vectors.
+    order = symmetric_group(n).order
+    rows = list(_commutator_rows(n, params, twisted))
+    space = span(rows, order)
+    assert space == span(rows[::-1], order)
+    assert space == span(generator_vectors(n, params, twisted), order)
+    assert rank(rows, order) == rank(rows[::-1], order) == space.dim
+    assert nullspace(rows, order) == nullspace(rows[::-1], order)
+    constraints = list(_constraint_rows(n, params, twisted))
+    null = nullspace(constraints, order)
+    assert null == nullspace(constraints[::-1], order)
+    assert rank(constraints, order) == rank(constraints[::-1], order) == order - null.dim
 
 
 def reference_mul(x, y):
