@@ -179,8 +179,8 @@ def dual_center_basis(n: int, params: AlgebraParams) -> CenterBasis:
     coordinates = [SparseVector(k, {j: _ONE}) for j in range(k)]
     table = symmetric_group(n)
     labels, elements = [], []
-    for members, rep in zip(classes.classes, classes.representatives):
-        member_ranks = {table.rank(w) for w in members}
+    for ranks, rep in zip(classes.member_ranks, classes.representatives):
+        member_ranks = set(ranks)
         constraints = [
             (pairing[u], _ONE if u in member_ranks else _ZERO)
             for u in range(table.order)
@@ -260,10 +260,10 @@ def verify_hn_conjecture(n: int) -> ConjectureReport:
     )
 
     findings = []
-    for members, rep, element in zip(classes.classes, dual.labels, dual.elements):
+    for ranks, rep, element in zip(classes.member_ranks, dual.labels, dual.elements):
         complement_ranks = set()
-        for w in members:
-            complement_ranks.update(complement_sets[table.rank(w)])
+        for u in ranks:
+            complement_ranks.update(complement_sets[u])
         complements = sorted(
             (table.perms[v] for v in complement_ranks),
             key=lambda w: (w.length, w.image),

@@ -200,14 +200,19 @@ def conjugate_by_w0(w: Permutation) -> Permutation:
 class PermTable:
     """All of S_n indexed by lexicographic rank of the one-line word.
 
-    ``lmul[i-1][k]`` is the index of ``s_i o perms[k]`` and ``rmul[i-1][k]``
-    the index of ``perms[k] o s_i``.  Every exhaustive computation downstream
-    (spans, commutants, class closures) runs on these integer tables.
+    ``images[k]`` is the one-line word of rank k, the same tuple object that
+    ``index`` maps back to k.  ``lmul[i-1][k]`` is the index of
+    ``s_i o images[k]`` and ``rmul[i-1][k]`` the index of ``images[k] o s_i``.
+    Every exhaustive computation downstream (spans, commutants, class
+    closures and the class report) runs on these integer tables.
+    ``perms``, the validated ``Permutation`` of each rank with its length
+    filled in, is built on first access, for callers that key on
+    permutations.
 
     A generator raises the length exactly when it raises the rank: on a
     descent, swapping the values i+1 and i (left) or the entries at
     positions i and i+1 (right) puts the smaller one first.  So
-    ``lmul[i-1][k] < k`` iff i is a left descent of ``perms[k]``.
+    ``lmul[i-1][k] < k`` iff i is a left descent of ``images[k]``.
 
     ``derived`` holds tables that other modules build from this one, keyed
     by their own keys.  They share its lifetime: clearing the cache of
@@ -215,7 +220,7 @@ class PermTable:
     """
 
     n: int
-    perms: tuple[Permutation, ...]
+    images: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int]
     lengths: tuple[int, ...]
     lmul: tuple[tuple[int, ...], ...]
@@ -229,14 +234,21 @@ class PermTable:
 
     @property
     def order(self) -> int:
-        return len(self.perms)
+        return len(self.images)
+
+    @cached_property
+    def perms(self) -> tuple[Permutation, ...]:
+        perms = tuple(map(Permutation, self.images))
+        for w, length in zip(perms, self.lengths):
+            object.__setattr__(w, "length", length)  # fill the cached property
+        return perms
 
     @cached_property
     def words(self) -> tuple[Word, ...]:
         """``reduced_word(perms[k])`` for every rank k, built in one pass.
 
         The first letter of the greedy word is the smallest left descent d,
-        and the rest is the word of ``s_d o perms[k]``, whose rank is
+        and the rest is the word of ``s_d o images[k]``, whose rank is
         smaller, so visiting the ranks in order finds it already built.
         """
         words: list[Word] = [()]
@@ -275,15 +287,12 @@ def _rmul_row(n: int, p: int, ranks: list[int]) -> tuple[int, ...]:
 def symmetric_group(n: int) -> PermTable:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"number of strands must be in 1..{MAX_N}, got {n}")
-    images = list(_lex_images(range(1, n + 1)))
-    perms = tuple(Permutation(img) for img in images)
+    images = tuple(_lex_images(range(1, n + 1)))
     ranks = list(range(len(images)))
     index = dict(zip(images, ranks))
     # The lexicographic rank written in the factorial base is the Lehmer
     # code, whose digit sum is the inversion count.
     lengths = tuple(map(sum, product(*(range(m) for m in range(n, 0, -1)))))
-    for w, length in zip(perms, lengths):
-        object.__setattr__(w, "length", length)  # fill the cached property
     inv = []
     for img in images:
         image = [0] * n
@@ -296,7 +305,7 @@ def symmetric_group(n: int) -> PermTable:
     lmul = tuple(tuple(inv[row[j]] for j in inv) for row in rmul)
     return PermTable(
         n=n,
-        perms=perms,
+        images=images,
         index=index,
         lengths=lengths,
         lmul=lmul,

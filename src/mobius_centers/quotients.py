@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from . import linalg
@@ -25,7 +25,7 @@ from .algebra import (
     single_term_actions,
 )
 from .linalg import SparseVector, Subspace
-from .perm import Permutation, compose, longest_element, symmetric_group
+from .perm import Permutation, symmetric_group
 
 __all__ = [
     "UnsupportedParamsError",
@@ -98,20 +98,38 @@ def quotient_dim(n: int, params: AlgebraParams, twisted: bool) -> int:
 
 @dataclass(frozen=True)
 class MobiusClasses:
-    """The partition of the T_w basis under the band identifications.
+    """The partition of the T_w basis under the band identifications, held
+    as basis indices (ranks in ``symmetric_group(n)``).
 
-    ``zero_class`` collects basis elements identified with 0 (Nilcoxeter
-    only); it is None when nothing vanishes.  Classes are ordered by their
-    representative, the length-minimal lexicographically-minimal member.
-    ``members`` lists the same classes with their members in that
-    (length, one-line word) order, representative first.
+    ``member_ranks`` lists the nonzero classes, each with its members in
+    (length, one-line word) order, so the representative, the
+    length-minimal lexicographically-minimal member, comes first; the
+    classes are ordered by their representatives.  ``zero_ranks`` lists the
+    basis elements identified with 0 (Nilcoxeter only) in the same order.
+
+    ``members``, ``classes``, ``zero_class`` and ``representatives`` are the
+    same data as ``Permutation``s, built on first access: ``zero_class`` is
+    None when nothing vanishes.
     """
 
     n: int
     params: AlgebraParams
-    classes: tuple[frozenset[Permutation], ...]
-    zero_class: frozenset[Permutation] | None
-    members: tuple[tuple[Permutation, ...], ...]
+    member_ranks: tuple[tuple[int, ...], ...]
+    zero_ranks: tuple[int, ...]
+
+    @cached_property
+    def members(self) -> tuple[tuple[Permutation, ...], ...]:
+        at = symmetric_group(self.n).perms.__getitem__
+        return tuple(tuple(map(at, ranks)) for ranks in self.member_ranks)
+
+    @cached_property
+    def classes(self) -> tuple[frozenset[Permutation], ...]:
+        return tuple(map(frozenset, self.members))
+
+    @cached_property
+    def zero_class(self) -> frozenset[Permutation] | None:
+        perms = symmetric_group(self.n).perms
+        return frozenset(perms[k] for k in self.zero_ranks) or None
 
     @property
     def representatives(self) -> tuple[Permutation, ...]:
@@ -133,35 +151,41 @@ def mobius_classes(n: int, params: AlgebraParams) -> MobiusClasses:
     table = symmetric_group(n)
     order = table.order
     left, right = single_term_actions(n, params)
-    # Union-find with path halving; index `order` is the zero sink.
+    # Union-find with path halving, written into the loop: a call per edge
+    # would cost about as much as the union itself.  Index `order` is the
+    # zero sink.
     parent = list(range(order + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i in range(1, n):
         for x, y in zip(left[i - 1], right[n - i - 1]):
             if x != y:
-                parent[find(x if x >= 0 else order)] = find(y if y >= 0 else order)
+                if x < 0:
+                    x = order
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                if y < 0:
+                    y = order
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                parent[x] = y
 
-    # Visit the members by (length, lexicographic rank), which orders the
-    # one-line words too: each group then lists its representative first,
-    # and the groups appear in the order of their representatives.
-    perms = table.perms
-    groups: dict[int, list[Permutation]] = {}
+    # Visit the ranks by (length, rank), which is the (length, one-line
+    # word) order: each group then lists its representative first, and the
+    # groups appear in the order of their representatives.
+    groups: dict[int, list[int]] = {}
     for k in sorted(range(order), key=table.lengths.__getitem__):
-        groups.setdefault(find(k), []).append(perms[k])
-    zero_members = groups.pop(find(order), ())
-    members = tuple(map(tuple, groups.values()))
+        root = k
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        groups.setdefault(root, []).append(k)
+    root = order
+    while parent[root] != root:
+        root = parent[root]
+    zero_ranks = groups.pop(root, ())
     return MobiusClasses(
         n=n,
         params=params,
-        classes=tuple(map(frozenset, members)),
-        zero_class=frozenset(zero_members) or None,
-        members=members,
+        member_ranks=tuple(map(tuple, groups.values())),
+        zero_ranks=tuple(zero_ranks),
     )
 
 
@@ -170,17 +194,22 @@ def cycle_type(w: Permutation) -> tuple[int, ...]:
 
     The parts are the thicknesses of the closed components and sum to n.
     """
-    mu = compose(longest_element(w.n), w)
-    seen = [False] * w.n
+    return _band_cycle_type(w.image)
+
+
+def _band_cycle_type(image: tuple[int, ...]) -> tuple[int, ...]:
+    """``cycle_type`` of the permutation with one-line word ``image``."""
+    n = len(image)
+    seen = [False] * (n + 1)
     parts = []
-    for start in range(1, w.n + 1):
-        if seen[start - 1]:
+    for start in range(1, n + 1):
+        if seen[start]:
             continue
         size = 0
         p = start
-        while not seen[p - 1]:
-            seen[p - 1] = True
-            p = mu(p)
+        while not seen[p]:
+            seen[p] = True
+            p = n + 1 - image[p - 1]
             size += 1
         parts.append(size)
     parts.sort(reverse=True)
@@ -237,25 +266,21 @@ def classes_to_json(classes: MobiusClasses) -> dict:
     where they are constant per class."""
     is_nc = classes.params == NILCOXETER
     table = symmetric_group(classes.n)
-    index, words = table.index, table.words
+    words = table.words
     out = []
-    for members in classes.members:
-        rep = members[0]
-        ranks = [index[w.image] for w in members]
+    for ranks in classes.member_ranks:
+        rep = ranks[0]
         entry = {
-            "representative": list(words[ranks[0]]),
-            "members": [list(words[k]) for k in ranks],
+            "representative": list(words[rep]),
+            "members": list(map(list, map(words.__getitem__, ranks))),
         }
         if is_nc:
-            entry["cycle_type"] = list(cycle_type(rep))
-            entry["length"] = rep.length
+            entry["cycle_type"] = list(_band_cycle_type(table.images[rep]))
+            entry["length"] = table.lengths[rep]
         out.append(entry)
-    # (length, rank) is the (length, one-line word) order
-    zero = sorted(index[w.image] for w in classes.zero_class or ())
-    zero.sort(key=table.lengths.__getitem__)
     return {
         "n": classes.n,
         "algebra": preset_name(classes.params) or "custom",
         "classes": out,
-        "zero_class": [list(words[k]) for k in zero],
+        "zero_class": list(map(list, map(words.__getitem__, classes.zero_ranks))),
     }

@@ -1,15 +1,18 @@
 import hashlib
+import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobius_centers.algebra import ELEMENT_SCHEMA
 from mobius_centers.centers import CONJECTURE_REPORT_SCHEMA
-from mobius_centers.cli import _render_json, main
+from mobius_centers import cli
+from mobius_centers.cli import _render_json, _write_json, main
 from mobius_centers.quotients import CLASS_REPORT_SCHEMA
 
 
@@ -245,6 +248,10 @@ CLASSES_N7_SHA256 = {
     ("0-hecke", "json"): "c44d8639a9067814ddabd654d8c981bc2329929ae0b467b79ecd550898149df2",
     ("0-hecke", "csv"): "5bf921e477eae203460f77437ba943ae88b8aca0a62926b878bdf540e0bb713d",
     ("0-hecke", "text"): "c8ae8bafaed4fe3d2b097a4632372032258c8c04562a5b7e9a668255b15180e0",
+    # recorded before the class report ran on basis indices
+    ("group", "json"): "a061fc246536a705aa98604299d537896c438307763a19e6eb3ec06dea3a6c9c",
+    ("group", "csv"): "5f5dc7539fb4a8683622280df3f1f9d47b952964debc0b25a697ac3e22c0f1d3",
+    ("group", "text"): "b32a66d0b7f39dcb1b47b97dc069c52087319e84a6b3cabad08c7131b616e8f1",
 }
 
 
@@ -302,18 +309,36 @@ json_text = st.text(
 )
 json_payloads = st.recursive(
     st.none() | st.booleans() | st.integers() | json_text,
-    lambda inner: st.lists(inner) | st.lists(st.integers()) | st.dictionaries(json_text, inner),
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(st.integers())
+        | st.lists(st.lists(st.integers()))
+        | st.dictionaries(json_text, inner)
+    ),
     max_leaves=40,
 )
 
 
 @given(json_payloads)
+@example([[1, 2], [True], [], [-3, False], [[4]], ["5"]])
 @settings(max_examples=300, deadline=None)
 def test_render_json_matches_json_dumps(payload):
     assert _render_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("payload", [1.5, (1, 2), Fraction(1, 2), {"a": [1, 2.0]}, {1: 2}])
+@given(json_payloads, st.sampled_from([1, 3]))
+@settings(max_examples=100, deadline=None)
+def test_write_json_in_chunks_matches_render_json(payload, chunk_parts):
+    handle = io.StringIO()
+    with mock.patch.object(cli, "_JSON_CHUNK_PARTS", chunk_parts):
+        _write_json(payload, handle)
+    assert handle.getvalue() == _render_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, (1, 2), Fraction(1, 2), {"a": [1, 2.0]}, {1: 2}, [[1, 2], [3, 2.0]], [[1], (2,)]],
+)
 def test_render_json_rejects_other_types(payload):
     with pytest.raises(TypeError):
         _render_json(payload)

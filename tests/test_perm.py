@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -271,3 +271,27 @@ def test_tables_at_n8_match_permutation_operations(perms):
     k = table.rank(w)
     assert_table_entries(table, k)
     assert table.words[k] == reduced_word(w) == descent_scan_word(w)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_table_images_share_the_index_keys(n):
+    table = symmetric_group(n)
+    assert table.images == tuple(permutations(range(1, n + 1)))
+    assert all(table.index[img] == k for k, img in enumerate(table.images))
+    assert all(key is img for key, img in zip(table.index, table.images))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_table_perms_built_on_first_access(n):
+    symmetric_group.cache_clear()
+    table = symmetric_group(n)
+    assert "perms" not in vars(table)
+    assert table.order == len(table.images)
+    perms = table.perms
+    assert "perms" in vars(table)
+    assert perms == tuple(Permutation(img) for img in permutations(range(1, n + 1)))
+    for w, length in zip(perms, table.lengths):
+        assert vars(w)["length"] == length == naive_inversions(w.image)
+    assert table.perms is perms
+    symmetric_group.cache_clear()
+    assert "perms" not in vars(symmetric_group(n))

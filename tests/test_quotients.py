@@ -13,10 +13,18 @@ from mobius_centers.algebra import (
     element_to_vector,
     involve,
     mul,
+    mul_left_generator,
+    mul_right_generator,
 )
 from mobius_centers.linalg import contains, span
 from mobius_centers.partitions import expected_class_count, partitions
-from mobius_centers.perm import evaluate, identity, longest_element, symmetric_group
+from mobius_centers.perm import (
+    Permutation,
+    evaluate,
+    identity,
+    longest_element,
+    symmetric_group,
+)
 from mobius_centers.quotients import (
     CLASS_REPORT_SCHEMA,
     UnsupportedParamsError,
@@ -163,6 +171,70 @@ def test_members_in_length_then_word_order(n, params):
         assert rep == min(members, key=key)
     reps = [key(rep) for rep in classes.representatives]
     assert reps == sorted(reps)
+
+
+def eager_classes(n, params):
+    """The classes as Permutations, closed from the algebra's own products:
+    (classes, zero_class, members, representatives)."""
+    perms = [Permutation(img) for img in sorted(symmetric_group(n).index)]
+    root = {w: w for w in perms}
+    root[None] = None  # the zero sink
+
+    def find(w):
+        while root[w] != w:
+            w = root[w]
+        return w
+
+    def single(x):
+        (w,) = x.terms or (None,)
+        return w
+
+    for w in perms:
+        t = basis_element(params, w)
+        for i in range(1, n):
+            left = single(mul_left_generator(i, t))
+            right = single(mul_right_generator(t, n - i))
+            root[find(left)] = find(right)
+    groups = {}
+    for w in sorted(perms, key=lambda w: (w.length, w.image)):
+        groups.setdefault(find(w), []).append(w)
+    zero = frozenset(groups.pop(find(None), ())) or None
+    members = tuple(map(tuple, groups.values()))
+    return (
+        tuple(map(frozenset, members)),
+        zero,
+        members,
+        tuple(m[0] for m in members),
+    )
+
+
+@pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_permutation_views_match_eager_classes(n, params):
+    mobius_classes.cache_clear()
+    classes = mobius_classes(n, params)
+    assert (
+        classes.classes,
+        classes.zero_class,
+        classes.members,
+        classes.representatives,
+    ) == eager_classes(n, params)
+    table = symmetric_group(n)
+    assert classes.member_ranks == tuple(
+        tuple(table.rank(w) for w in m) for m in classes.members
+    )
+    assert sorted(classes.zero_ranks) == sorted(
+        table.rank(w) for w in classes.zero_class or ()
+    )
+
+
+@pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)
+def test_class_report_builds_no_permutations(params):
+    symmetric_group.cache_clear()
+    mobius_classes.cache_clear()
+    report = classes_to_json(mobius_classes(6, params))
+    assert "perms" not in vars(symmetric_group(6))
+    jsonschema.validate(report, CLASS_REPORT_SCHEMA)
 
 
 def test_hecke_class_lengths_vary():
