@@ -3,15 +3,15 @@
 
 Usage (from the repository root):
 
-    python3 scripts/bench_pairs.py --workload classes-n8 --pairs 10
+    python3 scripts/bench_pairs.py --workload classes-n8 --base main --pairs 10
 
-Both commits (by default HEAD and its parent) are exported with
-``git archive`` into a temporary directory, so only committed files are
-measured.  Pair i runs ``perfbench/run.py --workload W --seed i`` once on
-each checkout, in fresh processes; which one runs first alternates from pair
-to pair, so a drift of the host's speed falls on both sides.  For every
-end-to-end metric of BENCHMARK.json the file BENCH_<label>.json records the
-median and quartiles on each side, and the number of pairs the change won.
+The base commit and HEAD are exported with ``git archive`` into a temporary
+directory, so only committed files are measured.  Pair i runs
+``perfbench/run.py --workload W --seed i`` once on each checkout, in fresh
+processes; which one runs first alternates from pair to pair, so a drift of
+the host's speed falls on both sides.  For every
+end-to-end metric of BENCHMARK.json the file BENCH_<workload>.json records
+the median and quartiles on each side, and the number of pairs HEAD won.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ def _export(commit: str, target: Path) -> None:
         tar.extractall(target)
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: int | None) -> dict[str, float]:
+def _run(checkout: Path, workload: str, seed: int) -> dict[str, float]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -59,16 +57,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--change", default="HEAD", help="commit under test")
-    parser.add_argument("--base", default=None, help="commit to compare with (default: the change's parent)")
-    parser.add_argument("--seconds", type=int, default=None, help="passed to perfbench/run.py")
-    parser.add_argument("--label", default=None, help="file label (default: the workload)")
+    parser.add_argument("--base", required=True, help="commit to compare HEAD with")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    change = _git("rev-parse", f"{args.change}^{{commit}}").decode().strip()
-    base = _git("rev-parse", f"{args.base or change + '~1'}^{{commit}}").decode().strip()
+    change = _git("rev-parse", "HEAD^{commit}").decode().strip()
+    base = _git("rev-parse", f"{args.base}^{{commit}}").decode().strip()
     config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = config["end_to_end"]
     runs = []
@@ -80,7 +75,7 @@ def main() -> int:
             order = ("base", "change") if seed % 2 else ("change", "base")
             run = {"seed": seed, "first": order[0]}
             for side in order:
-                run[side] = _run(checkouts[side], args.workload, seed, args.seconds)
+                run[side] = _run(checkouts[side], args.workload, seed)
             runs.append(run)
             print(f"pair {seed}: " + ", ".join(
                 f"{m['name']} {run['base'][m['name']]:.4g} -> {run['change'][m['name']]:.4g}"
@@ -99,14 +94,14 @@ def main() -> int:
     out = {
         "workload": args.workload,
         "pairs": args.pairs,
-        "seconds": args.seconds or config["run_seconds"],
+        "seconds": config["run_seconds"],
         "seeds": [r["seed"] for r in runs],
         "base": base,
         "change": change,
         "metrics": summary,
         "runs": runs,
     }
-    target = ROOT / f"BENCH_{args.label or args.workload}.json"
+    target = ROOT / f"BENCH_{args.workload}.json"
     target.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     print(json.dumps({name: s["wins"] for name, s in summary.items()}))
     print(f"wrote {target}", file=sys.stderr)

@@ -151,9 +151,9 @@ def mobius_classes(n: int, params: AlgebraParams) -> MobiusClasses:
     table = symmetric_group(n)
     order = table.order
     left, right = single_term_actions(n, params)
-    # Union-find with path halving, written into the loop: a call per edge
-    # would cost about as much as the union itself.  Index `order` is the
-    # zero sink.
+    # Union-find with path halving, written into the edge loop: a call per
+    # edge would cost about as much as the union itself.  Index `order` is
+    # the zero sink.
     parent = list(range(order + 1))
     for i in range(1, n):
         for x, y in zip(left[i - 1], right[n - i - 1]):
@@ -173,20 +173,21 @@ def mobius_classes(n: int, params: AlgebraParams) -> MobiusClasses:
     # groups appear in the order of their representatives.
     groups: dict[int, list[int]] = {}
     for k in sorted(range(order), key=table.lengths.__getitem__):
-        root = k
-        while parent[root] != root:
-            parent[root] = root = parent[parent[root]]
-        groups.setdefault(root, []).append(k)
-    root = order
-    while parent[root] != root:
-        root = parent[root]
-    zero_ranks = groups.pop(root, ())
+        groups.setdefault(_find(parent, k), []).append(k)
+    zero_ranks = groups.pop(_find(parent, order), ())
     return MobiusClasses(
         n=n,
         params=params,
         member_ranks=tuple(map(tuple, groups.values())),
         zero_ranks=tuple(zero_ranks),
     )
+
+
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def cycle_type(w: Permutation) -> tuple[int, ...]:
