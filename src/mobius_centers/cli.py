@@ -343,18 +343,10 @@ def _json_parts(o, newline: str, emit) -> None:
         if {*map(type, o)} == {int}:
             emit("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
             return
-        # An item that is a non-empty list of ints (a word of a class
-        # report) is rendered here, with its separator, as one part.
-        int_sep = "," + inner + "  "
-        int_head = "[" + inner + "  "
-        int_tail = inner + "]"
         sep = "[" + inner
         for x in o:
-            if type(x) is list and x and {*map(type, x)} == {int}:
-                emit(sep + int_head + int_sep.join(map(int.__repr__, x)) + int_tail)
-            else:
-                emit(sep)
-                _json_parts(x, inner, emit)
+            emit(sep)
+            _json_parts(x, inner, emit)
             sep = "," + inner
         emit(newline + "]")
     elif isinstance(o, dict):
