@@ -373,25 +373,13 @@ def solve_affine(
         raise ValueError("empty unknowns basis")
     _, dim = _common_dimension(unknowns_basis)
     k = len(unknowns_basis)
-    # Coordinate v of the unknowns, as (j, unknowns_basis[j][v]) pairs: a
-    # constraint's row is then read off its own entries, with no dot product
-    # per unknown.  For unit-vector unknowns the row is the constraint.
-    columns: dict[int, list[tuple[int, Fraction]]] = {}
-    for j, u in enumerate(unknowns_basis):
-        for v, c in u.entries.items():
-            columns.setdefault(v, []).append((j, c))
-
     # Column k holds the negated right-hand side; a solution c is then a
     # nullvector of the augmented rows with last coordinate 1.
     def rows():
         for cvec, value in constraints:
             if cvec.dimension != dim:
                 raise ValueError(f"dimension mismatch: {cvec.dimension} vs {dim}")
-            row: dict[int, Fraction] = {}
-            for v, c in cvec.entries.items():
-                for j, u in columns.get(v, ()):
-                    row[j] = row[j] + c * u if j in row else c * u
-            row = {j: c for j, c in row.items() if c}
+            row = {j: c for j, u in enumerate(unknowns_basis) if (c := cvec.dot(u))}
             if value:
                 row[k] = -Fraction(value)
             yield row
