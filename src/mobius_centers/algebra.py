@@ -292,23 +292,35 @@ def _push(coords: dict, step) -> dict:
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """The bilinear product.
 
-    Each basis term of x is factored into its reduced word, whose letters
-    act on the coordinates of y right to left through the tabulated left
-    generator terms.  Coordinates are held by basis index, as ints when
-    integral, until the result is built.
+    The greedy reduced words form a tree (see ``PermTable.words``): the
+    word of k is its first letter d followed by the word of
+    ``lmul[d-1][k]``, so ``T_k * y = T_d * (T_{lmul[d-1][k]} * y)``.
+    ``prefixes`` holds ``T_k * y`` for every k reached so far, starting
+    from the identity.  Each term of x walks up its word to the nearest
+    rank held there and pushes y's coordinates back down through the
+    tabulated left generator terms, keeping every rank it passes; so each
+    prefix is pushed once per product, however many terms of x share it.
+    Coordinates are held by basis index, as ints when integral, until the
+    result is built.
     """
     _check_compatible(x, y)
     n = x.n
     table = symmetric_group(n)
     steps = _left_terms(n, x.params)
-    start = {table.rank(w): _integral(c) for w, c in y.terms.items()}
+    lmul = table.lmul
+    prefixes = {0: {table.rank(w): _integral(c) for w, c in y.terms.items()}}
     out: dict = {}
     for u, c in x.terms.items():
-        acc = start
-        for i in reversed(reduced_word(u)):
-            acc = _push(acc, steps[i - 1])
-            if not acc:
+        k = table.rank(u)
+        path = []
+        for d in reduced_word(u):  # ends at the identity, rank 0, if no prefix is held
+            if k in prefixes:
                 break
+            path.append((k, d))
+            k = lmul[d - 1][k]
+        acc = prefixes[k]
+        for k, d in reversed(path):
+            acc = prefixes[k] = _push(acc, steps[d - 1])
         c = _integral(c)
         for k, v in acc.items():
             _accumulate(out, k, c * v)
@@ -347,8 +359,11 @@ def right_complements(w: Permutation, params: AlgebraParams) -> list[Permutation
     return out
 
 
-def gram_matrix(n: int, params: AlgebraParams) -> list[list[Fraction]]:
+def gram_matrix(n: int, params: AlgebraParams) -> list[list[int | Fraction]]:
     """G[u][v] = trace(T_u * T_v) over all basis pairs, in index order.
+
+    Entries follow ``generator_terms``: ints when integral, Fractions
+    otherwise.
 
     Row e is the indicator of w0.  When u s_j is longer than u,
     T_{u s_j} T_v = T_u (T_j T_v), so row u s_j is row u read through the
@@ -373,11 +388,9 @@ def gram_matrix(n: int, params: AlgebraParams) -> list[list[Fraction]]:
                     rows[us] = [sum(t * row[m] for m, t in terms) for terms in step]
                     reached.append(us)
         frontier = reached
-    # Shared 0 and 1: most entries are one of the two.
-    return [
-        [_ZERO if c == 0 else _ONE if c == 1 else Fraction(c) for c in row]
-        for row in rows
-    ]
+    if params.denominator != 1:
+        return [[_integral(c) for c in row] for row in rows]
+    return rows
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ z T_i = T_{n-i} z.  Both are computed as exact nullspaces.
 
 For the Nilcoxeter algebra the center has a closed-form basis: one element
 per nonzero Mobius class c, the sum of T_{w^{-1} w0} over the members w of
-c.  The trace-dual basis solves, for each class c, the full system
-trace(T_w * z) = 1 for w in c and 0 for every basis element outside c.
+c.  The trace-dual element of a class c solves the full system
+trace(T_w * z) = 1 for w in c and 0 for every basis element outside c;
+one elimination solves it for every class.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterator
 
 from .algebra import (
@@ -32,16 +34,13 @@ from .algebra import (
     mul_left_generator,
     mul_right_generator,
     preset_name,
-    vector_to_element,
 )
 from .linalg import (
     NonUniqueSolutionError,
     NoSolutionError,
-    SparseVector,
     Subspace,
     format_rational,
     nullspace,
-    solve_affine,
     span_coordinates,
 )
 from .perm import Permutation, compose, inverse, longest_element, reduced_word, symmetric_group
@@ -62,7 +61,6 @@ __all__ = [
     "CONJECTURE_REPORT_SCHEMA",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -138,7 +136,7 @@ def nc_center_basis(n: int) -> CenterBasis:
     return CenterBasis(n, NILCOXETER, classes.representatives, elements)
 
 
-def _gram(n: int, params: AlgebraParams) -> list[list[Fraction]]:
+def _gram(n: int, params: AlgebraParams) -> list[list[int | Fraction]]:
     """The Gram matrix, built once per permutation table for the dual basis
     and the support report."""
     derived = symmetric_group(n).derived
@@ -153,6 +151,17 @@ def dual_center_basis(n: int, params: AlgebraParams) -> CenterBasis:
     """For each nonzero class c, the unique central element pairing to 1
     with every member of c and to 0 with every basis element outside c.
 
+    All m classes are solved by one elimination.  With the k center basis
+    vectors Z_j scaled to primitive ints, row u of the system is -1 in the
+    column of u's class and ``trace(T_u * Z_j)`` in column m + j.  A
+    nullvector (t, x) is then a central element ``sum x_j Z_j`` whose
+    pairings are ``t_l`` on class l, so the dual element of class l is read
+    off the nullspace basis vector with pivot l.  Every class has a unique
+    solution exactly when the pivots are 0..m-1: a class l missing from
+    them has none, since every vector of the nullspace leads at a pivot,
+    and a pivot beyond m is a central element pairing to 0 with every
+    basis element.
+
     A solve failure would contradict the duality between the center and the
     band quotient, so it aborts with diagnostics rather than degrade.
     """
@@ -161,44 +170,46 @@ def dual_center_basis(n: int, params: AlgebraParams) -> CenterBasis:
             "dual center basis is defined for the nilcoxeter and 0-hecke presets"
         )
     classes = mobius_classes(n, params)
-    central = center(n, params).basis
-    k = len(central)
-    # The pairing trace(T_u * z_j) of every basis element with every central
-    # basis vector is the same for each class; only the right-hand side
-    # changes, so each class is solved over the k central coordinates.
-    pairing = [
-        SparseVector(
-            k,
-            {
-                j: sum((row[v] * c for v, c in z.entries.items() if row[v]), _ZERO)
-                for j, z in enumerate(central)
-            },
+    reps = classes.representatives
+    m = len(reps)
+    central = []
+    for z in center(n, params).basis:
+        den = lcm(*(c.denominator for c in z.entries.values()))
+        central.append({v: c.numerator * (den // c.denominator) for v, c in z.entries.items()})
+    class_of = {u: l for l, ranks in enumerate(classes.member_ranks) for u in ranks}
+    rows = []
+    for u, gram_row in enumerate(_gram(n, params)):
+        row = {class_of[u]: -1} if u in class_of else {}
+        for j, z in enumerate(central, start=m):
+            if pairing := sum(gram_row[v] * c for v, c in z.items()):
+                row[j] = pairing
+        rows.append(row)
+    space = nullspace(rows, m + len(central))
+
+    def fail(error: type[Exception], l: int, reason: str) -> Exception:
+        return error(
+            f"dual element for the class of {reps[l]!r} at n={n}, "
+            f"algebra {preset_name(params)}: {reason}"
         )
-        for row in _gram(n, params)
-    ]
-    coordinates = [SparseVector(k, {j: _ONE}) for j in range(k)]
-    table = symmetric_group(n)
-    labels, elements = [], []
-    for ranks, rep in zip(classes.member_ranks, classes.representatives):
-        member_ranks = set(ranks)
-        constraints = [
-            (pairing[u], _ONE if u in member_ranks else _ZERO)
-            for u in range(table.order)
-        ]
-        try:
-            solution = solve_affine(constraints, coordinates)
-        except (NoSolutionError, NonUniqueSolutionError) as exc:
-            raise type(exc)(
-                f"dual element for the class of {rep!r} at n={n}, "
-                f"algebra {preset_name(params)}: {exc}"
-            ) from exc
+
+    pivots = set(space.pivots)
+    for l in range(m):
+        if l not in pivots:
+            raise fail(NoSolutionError, l, "inconsistent constraint system")
+    if space.dim > m:
+        # every class then has a line of solutions; name the first, as a
+        # class-by-class solve would
+        raise fail(NonUniqueSolutionError, 0, "solution set is positive-dimensional")
+    perms = symmetric_group(n).perms
+    elements = []
+    for vector in space.basis:
         terms: dict[int, Fraction] = {}
-        for j, c in solution.entries.items():
-            for v, zc in central[j].entries.items():
-                terms[v] = terms.get(v, _ZERO) + c * zc
-        labels.append(rep)
-        elements.append(vector_to_element(SparseVector(table.order, terms), n, params))
-    return CenterBasis(n, params, tuple(labels), tuple(elements))
+        for j, x in vector.entries.items():
+            if j >= m:
+                for v, c in central[j - m].items():
+                    terms[v] = terms.get(v, 0) + x * c
+        elements.append(AlgebraElement(n, params, {perms[v]: c for v, c in terms.items()}))
+    return CenterBasis(n, params, reps, tuple(elements))
 
 
 def multiplication_table(basis: CenterBasis) -> list[list[list[Fraction]]]:

@@ -63,8 +63,9 @@ _RANDOM_PAIR_COUNT = 10_000
 _MAX_GRAM_ENTRIES = math.factorial(6) ** 2
 
 # Each command builds a table of one object per permutation, plus tables
-# derived from it: at n = 8 (40,320) the commands peak at 105-180 MB, and n = 9
-# would need nine times as much.
+# derived from it: at n = 8 (40,320) `dim`, `classes`, `verify` and the
+# Nilcoxeter `basis` and `table` peak at 39-74 MB of RSS, and n = 9 would
+# need nine times as much.
 _MAX_TABLE_ORDER = math.factorial(8)
 
 

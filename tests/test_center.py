@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PRESETS, PRESET_IDS, algebras
+from mobius_centers import centers
 from mobius_centers.algebra import (
     GROUP_ALGEBRA,
     NILCOXETER,
@@ -32,7 +34,7 @@ from mobius_centers.centers import (
     twisted_center,
     verify_hn_conjecture,
 )
-from mobius_centers.linalg import span
+from mobius_centers.linalg import NonUniqueSolutionError, NoSolutionError, span
 from mobius_centers.partitions import center_dim_formula, partitions
 from mobius_centers.perm import evaluate, longest_element, symmetric_group
 from mobius_centers.quotients import (
@@ -235,6 +237,40 @@ def test_dual_basis_equals_closed_form_for_nc(n):
 def test_dual_basis_rejects_group_algebra():
     with pytest.raises(ValueError):
         dual_center_basis(3, GROUP_ALGEBRA)
+
+
+@pytest.fixture
+def edited_center(monkeypatch):
+    """Serve ``dual_center_basis`` the 0-Hecke center basis at n = 4 as
+    changed by a given function of it."""
+
+    def edit(change):
+        basis = change(center(4, ZERO_HECKE).basis)
+        monkeypatch.setattr(centers, "center", lambda n, params: SimpleNamespace(basis=basis))
+
+    dual_center_basis.cache_clear()
+    yield edit
+    dual_center_basis.cache_clear()
+
+
+def test_dual_basis_fails_without_a_center_vector(edited_center):
+    # some class then pairs to 1 with no central element
+    edited_center(lambda basis: basis[:-1])
+    with pytest.raises(
+        NoSolutionError,
+        match=r"class of Permutation\(\[[\d, ]+\]\) at n=4, algebra 0-hecke: inconsistent",
+    ):
+        dual_center_basis(4, ZERO_HECKE)
+
+
+def test_dual_basis_fails_with_a_repeated_center_vector(edited_center):
+    # the difference of the two copies pairs to 0 with everything
+    edited_center(lambda basis: basis + basis[:1])
+    with pytest.raises(
+        NonUniqueSolutionError,
+        match=r"class of Permutation\(\[[\d, ]+\]\) at n=4, algebra 0-hecke: solution set",
+    ):
+        dual_center_basis(4, ZERO_HECKE)
 
 
 def test_h2_dual_basis_frozen():

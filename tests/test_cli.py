@@ -290,6 +290,23 @@ def test_classes_n8_golden_bytes(capsys, algebra):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_N8_JSON_SHA256[algebra]
 
 
+# sha256 of the json output of the trace-dual commands at n = 6, recorded
+# while `mul` still walked the whole word of every term and each class had
+# its own solve.
+TRACE_DUAL_N6_JSON_SHA256 = {
+    ("table", "--algebra", "0-hecke"): "b14397399bf1d28b15163247550a84511bf492eba7663881f7d117c851e93bf6",
+    ("basis", "--algebra", "0-hecke"): "5f496498b4478f69b50f1493636e32faa092a9269ccdceb58095a8893487a164",
+    ("conjecture",): "3aa81f4da7f3dc0ca8cb910ffdc3c405802db2e1a14c5862580cd0d50f28321e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACE_DUAL_N6_JSON_SHA256))
+def test_trace_dual_n6_golden_bytes(capsys, command):
+    status, out, _ = run(capsys, *command, "-n", "6", "--format", "json")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_DUAL_N6_JSON_SHA256[command]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status, out, _ = run(

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PRESET_IDS, PRESETS, algebras, rationals
+from conftest import PRESET_IDS, PRESETS, algebras, nonzero, rationals
 from mobius_centers.algebra import (
+    ZERO_HECKE,
     AlgebraElement,
     AlgebraParams,
     basis_element,
@@ -29,7 +30,7 @@ from mobius_centers.algebra import (
     trace,
     zero,
 )
-from mobius_centers.centers import _constraint_rows
+from mobius_centers.centers import _constraint_rows, dual_center_basis
 from mobius_centers.linalg import SparseVector, nullspace, rank, span
 from mobius_centers.perm import reduced_word, symmetric_group
 from mobius_centers.quotients import _commutator_rows, generator_vectors
@@ -190,21 +191,39 @@ def reference_mul(x, y):
     return out
 
 
+def sparse_elements(n, params):
+    perms = symmetric_group(n).perms
+    return st.builds(
+        AlgebraElement,
+        st.just(n),
+        st.just(params),
+        st.dictionaries(st.sampled_from(perms), rationals, max_size=6),
+    )
+
+
 @st.composite
 def element_pairs(draw):
     n = draw(sizes)
     params = draw(algebras)
-    perms = symmetric_group(n).perms
-
-    def element():
-        terms = draw(st.dictionaries(st.sampled_from(perms), rationals, max_size=6))
-        return AlgebraElement(n, params, terms)
-
-    return element(), element()
+    return draw(sparse_elements(n, params)), draw(sparse_elements(n, params))
 
 
-@given(element_pairs())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def dense_pairs(draw):
+    """A left factor whose terms share long word prefixes: full support at
+    n = 4, or a 0-Hecke trace-dual basis element at n = 5."""
+    if draw(st.booleans()):
+        params = draw(algebras)
+        perms = symmetric_group(4).perms
+        x = AlgebraElement(4, params, {w: draw(nonzero) for w in perms})
+        return x, draw(sparse_elements(4, params))
+    elements = dual_center_basis(5, ZERO_HECKE).elements
+    x = draw(st.sampled_from(elements))
+    return x, draw(st.sampled_from(elements) | sparse_elements(5, ZERO_HECKE))
+
+
+@given(element_pairs() | dense_pairs())
+@settings(max_examples=200, deadline=None)
 def test_mul_matches_element_products(pair):
     x, y = pair
     got = mul(x, y)
@@ -219,7 +238,10 @@ def test_gram_matrix_matches_element_traces(n, params):
     got = gram_matrix(n, params)
     assert got == [[trace(reference_mul(x, y)) for y in elements] for x in elements]
     entries = [c for row in got for c in row]
-    assert all(type(c) is Fraction for c in entries)
+    # the kernel's number convention: ints when integral, Fractions otherwise
+    assert all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in entries
+    )
     # one shared object each for 0 and 1, not one per entry
     assert len({id(c) for c in entries if c == 0}) <= 1
     assert len({id(c) for c in entries if c == 1}) <= 1
