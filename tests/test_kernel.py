@@ -210,16 +210,17 @@ def element_pairs(draw):
 
 @st.composite
 def dense_pairs(draw):
-    """A left factor whose terms share long word prefixes: full support at
-    n = 4, or a 0-Hecke trace-dual basis element at n = 5."""
+    """A left factor whose terms share long word prefixes, full support at
+    n = 4 or a 0-Hecke trace-dual basis element at n = 5, times a sparse
+    element."""
     if draw(st.booleans()):
-        params = draw(algebras)
-        perms = symmetric_group(4).perms
-        x = AlgebraElement(4, params, {w: draw(nonzero) for w in perms})
-        return x, draw(sparse_elements(4, params))
-    elements = dual_center_basis(5, ZERO_HECKE).elements
-    x = draw(st.sampled_from(elements))
-    return x, draw(st.sampled_from(elements) | sparse_elements(5, ZERO_HECKE))
+        n, params = 4, draw(algebras)
+        perms = symmetric_group(n).perms
+        x = AlgebraElement(n, params, {w: draw(nonzero) for w in perms})
+    else:
+        n, params = 5, ZERO_HECKE
+        x = draw(st.sampled_from(dual_center_basis(n, params).elements))
+    return x, draw(sparse_elements(n, params))
 
 
 @given(element_pairs() | dense_pairs())
