@@ -359,6 +359,20 @@ def right_complements(w: Permutation, params: AlgebraParams) -> list[Permutation
     return out
 
 
+def _read_through(row: list, step) -> list:
+    """Entry v is the sum of ``t * row[m]`` over the terms (m, t) of
+    ``T_j T_v``, given generator j's row of ``_left_terms``.  Written as a
+    plain loop: most products have one term, and a generator expression
+    and ``sum`` per entry made the Gram matrix about four times slower."""
+    out = []
+    for terms in step:
+        c = 0
+        for m, t in terms:
+            c += t * row[m]
+        out.append(c)
+    return out
+
+
 def gram_matrix(n: int, params: AlgebraParams) -> list[list[int | Fraction]]:
     """G[u][v] = trace(T_u * T_v) over all basis pairs, in index order.
 
@@ -385,7 +399,7 @@ def gram_matrix(n: int, params: AlgebraParams) -> list[list[int | Fraction]]:
             for rmul, step in zip(table.rmul, steps):
                 us = rmul[u]
                 if rows[us] is None and lengths[us] > lengths[u]:
-                    rows[us] = [sum(t * row[m] for m, t in terms) for terms in step]
+                    rows[us] = _read_through(row, step)
                     reached.append(us)
         frontier = reached
     if params.denominator != 1:
