@@ -20,7 +20,6 @@ from .algebra import (
     mul,
     mul_left_generator,
     mul_right_generator,
-    right_complements,
     trace,
     unit,
 )

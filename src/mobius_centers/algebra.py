@@ -27,7 +27,6 @@ from .linalg import SparseVector, format_rational, parse_rational
 from .perm import (
     Permutation,
     conjugate_by_w0,
-    evaluate,
     generator,
     identity,
     longest_element,
@@ -54,7 +53,6 @@ __all__ = [
     "mul",
     "trace",
     "involve",
-    "right_complements",
     "gram_matrix",
     "RelationCheck",
     "RelationReport",
@@ -65,7 +63,6 @@ __all__ = [
     "element_to_vector",
     "vector_to_element",
     "element_to_json",
-    "element_from_json",
     "ELEMENT_SCHEMA",
 ]
 
@@ -119,7 +116,7 @@ def parse_algebra(name: str) -> AlgebraParams:
         raise ValueError(f"unknown algebra {name!r}: expected a preset name or 'a,b'")
     try:
         return AlgebraParams(parse_rational(parts[0]), parse_rational(parts[1]))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"unknown algebra {name!r}: {exc}") from None
 
 
@@ -150,9 +147,6 @@ class AlgebraElement:
     def coefficient(self, w: Permutation) -> Fraction:
         return self.terms.get(w, _ZERO)
 
-    def support(self) -> list[Permutation]:
-        return sorted(self.terms, key=lambda w: (w.length, w.image))
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_compatible(self, other)
         out = dict(self.terms)
@@ -175,9 +169,6 @@ class AlgebraElement:
         if not c:
             return zero(self.params, self.n)
         return AlgebraElement(self.n, self.params, {w: c * v for w, v in self.terms.items()})
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return mul(self, other)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -214,37 +205,31 @@ def generator_element(params: AlgebraParams, n: int, i: int) -> AlgebraElement:
 
 def mul_left_generator(i: int, x: AlgebraElement) -> AlgebraElement:
     """T_i * x, extended linearly over the terms of x."""
-    if not 1 <= i <= x.n - 1:
-        raise ValueError(f"generator index must be in 1..{x.n - 1}, got {i}")
-    a, b = x.params.a, x.params.b
-    out: dict[Permutation, Fraction] = {}
-    for w, c in x.terms.items():
-        sw = swap_values(w, i)
-        if sw.length > w.length:
-            _accumulate(out, sw, c)
-        else:
-            if a:
-                _accumulate(out, w, a * c)
-            if b:
-                _accumulate(out, sw, b * c)
-    return AlgebraElement(x.n, x.params, out)
+    return _mul_generator(i, x, swap_values)
 
 
 def mul_right_generator(x: AlgebraElement, i: int) -> AlgebraElement:
     """x * T_i; the mirror of the left rule, acting on positions."""
+    return _mul_generator(i, x, swap_positions)
+
+
+def _mul_generator(i: int, x: AlgebraElement, move) -> AlgebraElement:
+    """The two-case rule for generator i, where ``move(w, i)`` is the
+    permutation it moves T_w to: values for a left factor, positions for a
+    right one."""
     if not 1 <= i <= x.n - 1:
         raise ValueError(f"generator index must be in 1..{x.n - 1}, got {i}")
     a, b = x.params.a, x.params.b
     out: dict[Permutation, Fraction] = {}
     for w, c in x.terms.items():
-        ws = swap_positions(w, i)
-        if ws.length > w.length:
-            _accumulate(out, ws, c)
+        moved = move(w, i)
+        if moved.length > w.length:
+            _accumulate(out, moved, c)
         else:
             if a:
                 _accumulate(out, w, a * c)
             if b:
-                _accumulate(out, ws, b * c)
+                _accumulate(out, moved, b * c)
     return AlgebraElement(x.n, x.params, out)
 
 
@@ -344,21 +329,6 @@ def involve(x: AlgebraElement) -> AlgebraElement:
     )
 
 
-def right_complements(w: Permutation, params: AlgebraParams) -> list[Permutation]:
-    """All v with trace(T_w * T_v) == 1, sorted by length then one-line word.
-
-    In the Nilcoxeter algebra this is the single element w^{-1} w0.
-    """
-    tw = basis_element(params, w)
-    out = [
-        v
-        for v in symmetric_group(w.n).perms
-        if trace(mul(tw, basis_element(params, v))) == 1
-    ]
-    out.sort(key=lambda v: (v.length, v.image))
-    return out
-
-
 def _read_through(row: list, step) -> list:
     """Entry v is the sum of ``t * row[m]`` over the terms (m, t) of
     ``T_j T_v``, given generator j's row of ``_left_terms``.  Written as a
@@ -381,27 +351,19 @@ def gram_matrix(n: int, params: AlgebraParams) -> list[list[int | Fraction]]:
 
     Row e is the indicator of w0.  When u s_j is longer than u,
     T_{u s_j} T_v = T_u (T_j T_v), so row u s_j is row u read through the
-    left terms of T_j T_v.  Rows are reached from e by right extension, one
-    length at a time; this uses only associativity, so it holds for every
-    (a, b).
+    left terms of T_j T_v.  Every k other than e has a right descent j, and
+    then u = k s_j has a lower rank than k (see ``PermTable``); so the rows
+    are built in rank order, each from a row already built.  This uses only
+    associativity, so it holds for every (a, b).
     """
     table = symmetric_group(n)
-    order, lengths = table.order, table.lengths
     steps = _left_terms(n, params)
-    rows: list[list | None] = [None] * order
-    rows[0] = [0] * order  # index 0 is the identity
-    rows[0][table.w0] = 1
-    frontier = [0]
-    while frontier:
-        reached = []
-        for u in frontier:
-            row = rows[u]
-            for rmul, step in zip(table.rmul, steps):
-                us = rmul[u]
-                if rows[us] is None and lengths[us] > lengths[u]:
-                    rows[us] = _read_through(row, step)
-                    reached.append(us)
-        frontier = reached
+    first = [0] * table.order  # index 0 is the identity
+    first[table.w0] = 1
+    rows = [first]
+    for k in range(1, table.order):
+        j, u = next((j, u) for j, rmul in enumerate(table.rmul) if (u := rmul[k]) < k)
+        rows.append(_read_through(rows[u], steps[j]))
     if params.denominator != 1:
         return [[_integral(c) for c in row] for row in rows]
     return rows
@@ -610,14 +572,6 @@ def params_to_json(params: AlgebraParams):
     return {"a": format_rational(params.a), "b": format_rational(params.b)}
 
 
-def params_from_json(data) -> AlgebraParams:
-    if isinstance(data, str):
-        if data not in _PRESETS_BY_NAME:
-            raise ValueError(f"unknown algebra name {data!r}")
-        return _PRESETS_BY_NAME[data]
-    return AlgebraParams(parse_rational(data["a"]), parse_rational(data["b"]))
-
-
 def element_to_json(x: AlgebraElement) -> dict:
     """Terms are keyed by the canonical reduced word of their permutation."""
     terms = [
@@ -625,13 +579,3 @@ def element_to_json(x: AlgebraElement) -> dict:
         for w, c in sorted(x.terms.items(), key=lambda t: (t[0].length, t[0].image))
     ]
     return {"n": x.n, "algebra": params_to_json(x.params), "terms": terms}
-
-
-def element_from_json(data: dict) -> AlgebraElement:
-    params = params_from_json(data["algebra"])
-    n = data["n"]
-    out: dict[Permutation, Fraction] = {}
-    for term in data["terms"]:
-        w = evaluate(tuple(term["word"]), n)
-        _accumulate(out, w, parse_rational(term["coeff"]))
-    return AlgebraElement(n, params, out)

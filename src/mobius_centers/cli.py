@@ -300,26 +300,16 @@ def _cmd_verify(args) -> tuple[dict, int]:
 # --- rendering ----------------------------------------------------------------
 
 
-def _render_json(payload: dict) -> str:
-    """The bytes of ``json.dumps(payload, indent=2)`` plus a newline.
-
-    ``json.dumps`` falls back to its pure-Python encoder whenever it indents;
-    this renders the same layout directly, and a list of ints (the bulk of a
-    class report) with one join.
-    """
-    parts: list[str] = []
-    _json_parts(payload, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
-
-
 # parts per write: a few hundred kB of a class report
 _JSON_CHUNK_PARTS = 4096
 
 
 def _write_json(payload: dict, handle) -> None:
-    """Write ``_render_json(payload)`` a chunk at a time, so that neither the
-    whole text nor the list of its parts is ever held."""
+    """Write ``json.dumps(payload, indent=2)`` plus a newline, a chunk at a
+    time, so that neither the whole text nor the list of its parts is held.
+    ``json.dumps`` falls back to its pure-Python encoder whenever it indents;
+    this writes the same layout directly, and a list of ints (the bulk of a
+    class report) with one join."""
     parts: list[str] = []
 
     def emit(part: str) -> None:
@@ -377,6 +367,11 @@ def _json_parts(o, newline: str, emit) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+def _terms_text(terms) -> str:
+    """Terms of an element as space-separated ``word:coeff`` pairs."""
+    return " ".join(f"{_dotted(t['word'])}:{t['coeff']}" for t in terms)
+
+
 def _render_text(command: str, payload: dict) -> str:
     lines = []
     if command == "dim":
@@ -403,9 +398,7 @@ def _render_text(command: str, payload: dict) -> str:
             lines.append("zero class: " + " ".join(_dotted(w) for w in zero))
     elif command == "basis":
         for entry in payload["elements"]:
-            terms = " ".join(
-                f"{_dotted(t['word'])}:{t['coeff']}" for t in entry["element"]["terms"]
-            )
+            terms = _terms_text(entry["element"]["terms"])
             lines.append(f"z[{_dotted(entry['label'])}] = {terms}")
     elif command == "table":
         labels = payload["labels"]
@@ -419,10 +412,7 @@ def _render_text(command: str, payload: dict) -> str:
         lines.append("passed" if payload["passed"] else "FAILED")
     elif command == "conjecture":
         for entry in payload["classes"]:
-            coeffs = " ".join(
-                f"{_dotted(c['word'])}:{c['coeff']}"
-                for c in entry["complement_coefficients"]
-            )
+            coeffs = _terms_text(entry["complement_coefficients"])
             lines.append(
                 f"class rep={_dotted(entry['representative'])}"
                 f" support_in_complements={entry['support_in_complements']}"
@@ -471,10 +461,7 @@ def _render_csv(command: str, payload: dict) -> str:
     elif command == "basis":
         writer.writerow(["label", "terms"])
         for entry in payload["elements"]:
-            terms = " ".join(
-                f"{_dotted(t['word'])}:{t['coeff']}" for t in entry["element"]["terms"]
-            )
-            writer.writerow([_dotted(entry["label"]), terms])
+            writer.writerow([_dotted(entry["label"]), _terms_text(entry["element"]["terms"])])
     elif command == "table":
         labels = [_dotted(lab) for lab in payload["labels"]]
         writer.writerow(["left", "right"] + labels)
@@ -490,10 +477,7 @@ def _render_csv(command: str, payload: dict) -> str:
             ["representative", "support_in_complements", "integer_coefficients", "complement_coefficients"]
         )
         for entry in payload["classes"]:
-            coeffs = " ".join(
-                f"{_dotted(c['word'])}:{c['coeff']}"
-                for c in entry["complement_coefficients"]
-            )
+            coeffs = _terms_text(entry["complement_coefficients"])
             writer.writerow(
                 [
                     _dotted(entry["representative"]),
@@ -570,7 +554,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return 2
+        with handle:
             _write_report(args, payload, handle)
     else:
         _write_report(args, payload, sys.stdout)

@@ -28,7 +28,6 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
-    "Rational",
     "format_rational",
     "parse_rational",
     "NoSolutionError",
@@ -37,14 +36,11 @@ __all__ = [
     "Subspace",
     "span",
     "rank",
-    "contains",
     "nullspace",
     "solve_affine",
     "coordinates_in_span",
     "span_coordinates",
 ]
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -90,23 +86,8 @@ class SparseVector:
                 clean[j] = c
         object.__setattr__(self, "entries", clean)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def get(self, j: int) -> Fraction:
         return self.entries.get(j, _ZERO)
-
-    def __add__(self, other: "SparseVector") -> "SparseVector":
-        self._check(other)
-        out = dict(self.entries)
-        _axpy(out, other.entries, Fraction(-1))
-        return SparseVector(self.dimension, out)
-
-    def __sub__(self, other: "SparseVector") -> "SparseVector":
-        self._check(other)
-        out = dict(self.entries)
-        _axpy(out, other.entries, _ONE)
-        return SparseVector(self.dimension, out)
 
     def scaled(self, c) -> "SparseVector":
         c = Fraction(c)
@@ -277,9 +258,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: SparseVector) -> bool:
-        return contains(self, v)
-
 
 def _subspace_from_echelon(ech: _Echelon) -> Subspace:
     pivots = tuple(sorted(ech.rows))
@@ -328,19 +306,6 @@ def span(vectors: Iterable[_Row], dimension: int | None = None) -> Subspace:
 def rank(vectors: Iterable[_Row], dimension: int | None = None) -> int:
     """Dimension of the span, with no basis built; rows as for ``span``."""
     return _echelon(vectors, dimension).dim
-
-
-def contains(space: Subspace, v: SparseVector) -> bool:
-    """True iff ``v`` reduces to zero against the echelon basis."""
-    if space.ambient_dimension != v.dimension:
-        raise ValueError(
-            f"dimension mismatch: {space.ambient_dimension} vs {v.dimension}"
-        )
-    ech = _Echelon(space.ambient_dimension)
-    # a reduced row echelon row scaled to ints by the lcm of its
-    # denominators is primitive, with that lcm at its pivot
-    ech.rows = {p: _as_ints(b.entries)[0] for p, b in zip(space.pivots, space.basis)}
-    return not ech.reduce(v.entries)[0]
 
 
 def nullspace(vectors: Iterable[_Row], dimension: int) -> Subspace:

@@ -15,7 +15,6 @@ from mobius_centers.algebra import (
     AlgebraParams,
     basis_element,
     check_defining_relations,
-    element_from_json,
     element_to_json,
     element_to_vector,
     gram_matrix,
@@ -25,7 +24,6 @@ from mobius_centers.algebra import (
     mul_right_generator,
     parse_algebra,
     preset_name,
-    right_complements,
     single_term_actions,
     trace,
     unit,
@@ -172,25 +170,6 @@ def test_nc_products_are_homogeneous(n):
                 assert w.length == u.length + v.length
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_nc_complements_unique(n):
-    w0 = longest_element(n)
-    for w in symmetric_group(n).perms:
-        assert right_complements(w, NILCOXETER) == [compose(inverse(w), w0)]
-
-
-def test_nc_complement_examples():
-    assert right_complements(identity(3), NILCOXETER) == [longest_element(3)]
-    assert right_complements(longest_element(3), NILCOXETER) == [identity(3)]
-
-
-def test_h3_complements_of_s1():
-    comps = right_complements(generator(3, 1), ZERO_HECKE)
-    assert evaluate((2, 1), 3) in comps
-    lengths = [w.length for w in comps]
-    assert len(set(lengths)) == len(lengths)
-
-
 def test_gram_examples():
     assert gram_matrix(2, NILCOXETER) == [[0, 1], [1, 0]]
     assert gram_matrix(2, ZERO_HECKE) == [[0, 1], [1, 1]]
@@ -297,9 +276,12 @@ def test_element_json_round_trip_and_schema():
     x = elem(NILCOXETER, 3, ([1, 2], Fraction(1, 2)), ([2, 1], -1))
     data = element_to_json(x)
     jsonschema.validate(data, ELEMENT_SCHEMA)
-    assert element_from_json(json.loads(json.dumps(data))) == x
+    assert json.loads(json.dumps(data)) == {
+        "n": 3,
+        "algebra": "nilcoxeter",
+        "terms": [{"word": [1, 2], "coeff": "1/2"}, {"word": [2, 1], "coeff": "-1"}],
+    }
     custom = elem(AlgebraParams(Fraction(1, 3), Fraction(2)), 3, ([1], 5))
     data = element_to_json(custom)
     jsonschema.validate(data, ELEMENT_SCHEMA)
-    assert data["algebra"] == {"a": "1/3", "b": "2"}
-    assert element_from_json(data) == custom
+    assert data == {"n": 3, "algebra": {"a": "1/3", "b": "2"}, "terms": [{"word": [1], "coeff": "5"}]}

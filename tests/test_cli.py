@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mobius_centers.algebra import ELEMENT_SCHEMA
 from mobius_centers.centers import CONJECTURE_REPORT_SCHEMA
 from mobius_centers import cli
-from mobius_centers.cli import _render_json, _write_json, main
+from mobius_centers.cli import _write_json, main
 from mobius_centers.quotients import CLASS_REPORT_SCHEMA
 
 
@@ -147,9 +147,12 @@ def test_conjecture_rejects_other_algebras(capsys):
 
 
 def test_unknown_algebra_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["dim", "--algebra", "hecke", "-n", "3"])
-    assert excinfo.value.code == 2
+    # a zero denominator is a bad value too, not a crash with exit 1
+    for algebra in ("hecke", "1/0,1", "0,2/0"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dim", "--algebra", algebra, "-n", "3"])
+        assert excinfo.value.code == 2
+        assert f"invalid parse_algebra value: '{algebra}'" in capsys.readouterr().err
 
 
 def test_n_out_of_cap(capsys):
@@ -307,6 +310,24 @@ def test_trace_dual_n6_golden_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == TRACE_DUAL_N6_JSON_SHA256[command]
 
 
+# sha256 of the text and csv output of the commands that print element
+# terms, recorded before their renderers shared one join.
+TERMS_N5_SHA256 = {
+    ("basis", "--algebra", "0-hecke", "text"): "3537fe093d378a9e378f897d45a0a5ee9ada8c881611230a041f340c77b6d8e7",
+    ("basis", "--algebra", "0-hecke", "csv"): "1ad5a5dc272bc5b94cf47153077b8570ef48938a2d5e232f33cb1e70ecf12371",
+    ("conjecture", "text"): "98b12b5d5f6cf40e576802c88c3a0cd4875dfc76f0a3f4bd7052242165b94941",
+    ("conjecture", "csv"): "325ba2c3a4ba462208069dc57be916a3d9fa995344fddea499747df639139030",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TERMS_N5_SHA256))
+def test_terms_n5_golden_bytes(capsys, command):
+    *argv, fmt = command
+    status, out, _ = run(capsys, *argv, "-n", "5", "--format", fmt)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TERMS_N5_SHA256[command]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status, out, _ = run(
@@ -317,6 +338,18 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     jsonschema.validate(payload, CLASS_REPORT_SCHEMA)
+
+
+def test_output_file_in_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    status, out, err = run(
+        capsys, "dim", "--algebra", "1,1", "-n", "3", "--output", str(target),
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --output: ")
+    assert str(target) in err
+    assert not target.parent.exists()
 
 
 # strings with quotes, backslashes, control characters, non-ASCII and
@@ -336,20 +369,22 @@ json_payloads = st.recursive(
 )
 
 
+def write_json(payload) -> str:
+    handle = io.StringIO()
+    _write_json(payload, handle)
+    return handle.getvalue()
+
+
 @given(json_payloads)
 @example([[1, 2], [True], [], [-3, False], [[4]], ["5"]])
 @settings(max_examples=300, deadline=None)
 def test_render_json_matches_json_dumps(payload):
-    assert _render_json(payload) == json.dumps(payload, indent=2) + "\n"
-
-
-@given(json_payloads, st.sampled_from([1, 3]))
-@settings(max_examples=100, deadline=None)
-def test_write_json_in_chunks_matches_render_json(payload, chunk_parts):
-    handle = io.StringIO()
-    with mock.patch.object(cli, "_JSON_CHUNK_PARTS", chunk_parts):
-        _write_json(payload, handle)
-    assert handle.getvalue() == _render_json(payload)
+    # every chunk size writes the same bytes: one part per write, a few
+    # parts per write, and the default
+    want = json.dumps(payload, indent=2) + "\n"
+    for chunk_parts in (1, 3, cli._JSON_CHUNK_PARTS):
+        with mock.patch.object(cli, "_JSON_CHUNK_PARTS", chunk_parts):
+            assert write_json(payload) == want
 
 
 @pytest.mark.parametrize(
@@ -358,4 +393,4 @@ def test_write_json_in_chunks_matches_render_json(payload, chunk_parts):
 )
 def test_render_json_rejects_other_types(payload):
     with pytest.raises(TypeError):
-        _render_json(payload)
+        write_json(payload)
