@@ -379,12 +379,17 @@ def write_json(payload) -> str:
 @example([[1, 2], [True], [], [-3, False], [[4]], ["5"]])
 @settings(max_examples=300, deadline=None)
 def test_render_json_matches_json_dumps(payload):
-    # every chunk size writes the same bytes: one part per write, a few
-    # parts per write, and the default
-    want = json.dumps(payload, indent=2) + "\n"
-    for chunk_parts in (1, 3, cli._JSON_CHUNK_PARTS):
-        with mock.patch.object(cli, "_JSON_CHUNK_PARTS", chunk_parts):
-            assert write_json(payload) == want
+    assert write_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@given(json_payloads, st.sampled_from([1, 3]))
+@settings(max_examples=100, deadline=None)
+def test_write_json_in_chunks_matches_render_json(payload, chunk_parts):
+    # one part per write and a few parts per write give the bytes of the
+    # default chunk size
+    want = write_json(payload)
+    with mock.patch.object(cli, "_JSON_CHUNK_PARTS", chunk_parts):
+        assert write_json(payload) == want
 
 
 @pytest.mark.parametrize(
