@@ -57,7 +57,6 @@ __all__ = [
     "RelationCheck",
     "RelationReport",
     "check_defining_relations",
-    "generator_terms",
     "commutator_terms",
     "single_term_actions",
     "element_to_vector",
@@ -245,72 +244,69 @@ def _integral(c: Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-def _left_terms(
-    n: int, params: AlgebraParams
-) -> tuple[tuple[tuple[tuple[int, int | Fraction], ...], ...], ...]:
-    """``generator_terms(n, params, i, left=True)`` tabulated for every
-    generator, once per permutation table: entry [i-1][k] holds the terms
-    of ``T_i * T_k``."""
-    derived = symmetric_group(n).derived
-    key = ("left_terms", params)
-    if key not in derived:
-        derived[key] = tuple(
-            tuple(generator_terms(n, params, i, left=True)) for i in range(1, n)
-        )
-    return derived[key]
-
-
-def _push(coords: dict, step) -> dict:
-    """Left-multiply the coordinates ``{index: coeff}`` by one generator,
-    given that generator's row of ``_left_terms``."""
+def _push(coords: dict, row, a, b) -> dict:
+    """Left-multiply the coordinates ``{index: coeff}`` by the generator
+    whose ``lmul`` row is ``row``: on an ascent (``row[k] > k``, see
+    ``PermTable``) c moves to ``row[k]``; otherwise ``a*c`` stays at k and
+    ``b*c`` goes to ``row[k]``.  Zeros are dropped."""
     out: dict = {}
     for k, c in coords.items():
-        for m, t in step[k]:
-            v = out.get(m, 0) + t * c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
+        m = row[k]
+        for j, t in ((m, c),) if m > k else ((k, a * c), (m, b * c)):
+            if t:
+                t += out.get(j, 0)
+                if t:
+                    out[j] = t
+                else:
+                    del out[j]
+    return out
+
+
+def _ranked(x: AlgebraElement) -> dict:
+    """The coordinates of x by basis index, as ints when integral."""
+    table = symmetric_group(x.n)
+    return {table.rank(w): _integral(c) for w, c in x.terms.items()}
+
+
+def _mul_ranks(table, params: AlgebraParams, x: dict, y: dict) -> dict:
+    """The product of two elements given as ``{index: coeff}``.
+
+    The greedy reduced words form a tree (see ``PermTable.words``): the
+    word of k is its smallest left descent d, the first d with
+    ``lmul[d-1][k] < k``, followed by the word of ``lmul[d-1][k]``, so
+    ``T_k * y = T_d * (T_{lmul[d-1][k]} * y)``.  ``prefixes`` holds
+    ``T_k * y`` for every k reached so far, starting from the identity.
+    Each term of x walks up its word to the nearest rank held there and
+    pushes y's coordinates back down, keeping every rank it passes; so each
+    prefix is pushed once per product, however many terms of x share it.
+    """
+    lmul = table.lmul
+    a, b = _integral(params.a), _integral(params.b)
+    prefixes = {0: y}
+    out: dict = {}
+    for k, c in x.items():
+        path = []
+        while k not in prefixes:  # the identity, rank 0, is always held
+            for row in lmul:
+                if row[k] < k:
+                    break
+            path.append((k, row))
+            k = row[k]
+        acc = prefixes[k]
+        for k, row in reversed(path):
+            acc = prefixes[k] = _push(acc, row, a, b)
+        for k, v in acc.items():
+            _accumulate(out, k, c * v)
     return out
 
 
 def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """The bilinear product.
-
-    The greedy reduced words form a tree (see ``PermTable.words``): the
-    word of k is its first letter d followed by the word of
-    ``lmul[d-1][k]``, so ``T_k * y = T_d * (T_{lmul[d-1][k]} * y)``.
-    ``prefixes`` holds ``T_k * y`` for every k reached so far, starting
-    from the identity.  Each term of x walks up its word to the nearest
-    rank held there and pushes y's coordinates back down through the
-    tabulated left generator terms, keeping every rank it passes; so each
-    prefix is pushed once per product, however many terms of x share it.
-    Coordinates are held by basis index, as ints when integral, until the
-    result is built.
-    """
+    """The bilinear product, computed on basis indices by ``_mul_ranks``."""
     _check_compatible(x, y)
-    n = x.n
-    table = symmetric_group(n)
-    steps = _left_terms(n, x.params)
-    lmul = table.lmul
-    prefixes = {0: {table.rank(w): _integral(c) for w, c in y.terms.items()}}
-    out: dict = {}
-    for u, c in x.terms.items():
-        k = table.rank(u)
-        path = []
-        for d in reduced_word(u):  # ends at the identity, rank 0, if no prefix is held
-            if k in prefixes:
-                break
-            path.append((k, d))
-            k = lmul[d - 1][k]
-        acc = prefixes[k]
-        for k, d in reversed(path):
-            acc = prefixes[k] = _push(acc, steps[d - 1])
-        c = _integral(c)
-        for k, v in acc.items():
-            _accumulate(out, k, c * v)
+    table = symmetric_group(x.n)
+    out = _mul_ranks(table, x.params, _ranked(x), _ranked(y))
     perms = table.perms
-    return AlgebraElement(n, x.params, {perms[k]: c for k, c in out.items()})
+    return AlgebraElement(x.n, x.params, {perms[k]: c for k, c in out.items()})
 
 
 def trace(x: AlgebraElement) -> Fraction:
@@ -329,41 +325,31 @@ def involve(x: AlgebraElement) -> AlgebraElement:
     )
 
 
-def _read_through(row: list, step) -> list:
-    """Entry v is the sum of ``t * row[m]`` over the terms (m, t) of
-    ``T_j T_v``, given generator j's row of ``_left_terms``.  Written as a
-    plain loop: most products have one term, and a generator expression
-    and ``sum`` per entry made the Gram matrix about four times slower."""
-    out = []
-    for terms in step:
-        c = 0
-        for m, t in terms:
-            c += t * row[m]
-        out.append(c)
-    return out
-
-
 def gram_matrix(n: int, params: AlgebraParams) -> list[list[int | Fraction]]:
-    """G[u][v] = trace(T_u * T_v) over all basis pairs, in index order.
-
-    Entries follow ``generator_terms``: ints when integral, Fractions
-    otherwise.
+    """G[u][v] = trace(T_u * T_v) over all basis pairs, in index order,
+    as ints when integral and Fractions otherwise.
 
     Row e is the indicator of w0.  When u s_j is longer than u,
-    T_{u s_j} T_v = T_u (T_j T_v), so row u s_j is row u read through the
-    left terms of T_j T_v.  Every k other than e has a right descent j, and
-    then u = k s_j has a lower rank than k (see ``PermTable``); so the rows
-    are built in rank order, each from a row already built.  This uses only
-    associativity, so it holds for every (a, b).
+    T_{u s_j} T_v = T_u (T_j T_v), so entry v of row u s_j is entry
+    ``lmul[j-1][v]`` of row u on an ascent and ``a`` times entry v plus
+    ``b`` times that entry on a descent.  Every k other than e has a right
+    descent j, and then u = k s_j has a lower rank than k (see
+    ``PermTable``); so the rows are built in rank order, each from a row
+    already built.  This uses only associativity, so it holds for every
+    (a, b).
     """
     table = symmetric_group(n)
-    steps = _left_terms(n, params)
+    a, b = _integral(params.a), _integral(params.b)
+    ranks = table.index.values()  # 0, 1, ... as the ints the table holds
     first = [0] * table.order  # index 0 is the identity
     first[table.w0] = 1
     rows = [first]
     for k in range(1, table.order):
         j, u = next((j, u) for j, rmul in enumerate(table.rmul) if (u := rmul[k]) < k)
-        rows.append(_read_through(rows[u], steps[j]))
+        row = rows[u]
+        rows.append(
+            [row[m] if m > v else a * row[v] + b * row[m] for v, m in zip(ranks, table.lmul[j])]
+        )
     if params.denominator != 1:
         return [[_integral(c) for c in row] for row in rows]
     return rows
@@ -426,26 +412,6 @@ def _product_terms(
             yield ((m, b),)
         else:
             yield ()
-
-
-def generator_terms(
-    n: int, params: AlgebraParams, i: int, left: bool
-) -> Iterator[tuple[tuple[int, int | Fraction], ...]]:
-    """The terms of ``T_i * T_k`` (left) or ``T_k * T_i`` (right), for each
-    basis index k in order, as (index, coefficient) pairs.
-
-    Each product has at most two terms, read off the integer tables of
-    ``symmetric_group(n)``: the moved element when the length goes up,
-    otherwise ``a T_k`` and ``b`` times the moved element, zeros dropped.
-    Coefficients are ints when integral, Fractions otherwise.
-    """
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index must be in 1..{n - 1}, got {i}")
-    table = symmetric_group(n)
-    row = (table.lmul if left else table.rmul)[i - 1]
-    return _product_terms(
-        row, range(table.order), _integral(params.a), _integral(params.b), 1
-    )
 
 
 def commutator_terms(

@@ -26,11 +26,11 @@ from .algebra import (
     ZERO_HECKE,
     AlgebraElement,
     AlgebraParams,
+    _mul_ranks,
+    _ranked,
     commutator_terms,
     element_to_json,
-    element_to_vector,
     gram_matrix,
-    mul,
     mul_left_generator,
     mul_right_generator,
     preset_name,
@@ -39,9 +39,9 @@ from .linalg import (
     NonUniqueSolutionError,
     NoSolutionError,
     Subspace,
+    coordinates_in_span,
     format_rational,
     nullspace,
-    span_coordinates,
 )
 from .perm import Permutation, compose, inverse, longest_element, reduced_word, symmetric_group
 from .quotients import mobius_classes
@@ -136,14 +136,10 @@ def nc_center_basis(n: int) -> CenterBasis:
     return CenterBasis(n, NILCOXETER, classes.representatives, elements)
 
 
+@lru_cache(maxsize=None)
 def _gram(n: int, params: AlgebraParams) -> list[list[int | Fraction]]:
-    """The Gram matrix, built once per permutation table for the dual basis
-    and the support report."""
-    derived = symmetric_group(n).derived
-    key = ("gram", params)
-    if key not in derived:
-        derived[key] = gram_matrix(n, params)
-    return derived[key]
+    """The Gram matrix, built once for the dual basis and the support report."""
+    return gram_matrix(n, params)
 
 
 @lru_cache(maxsize=None)
@@ -218,17 +214,18 @@ def multiplication_table(basis: CenterBasis) -> list[list[list[Fraction]]]:
     Products of central elements are central, so coordinates exist and are
     unique; failure to solve means the basis is not what it claims to be.
     """
-    elements = basis.elements
-    if not elements:
+    if not basis.elements:
         return []
+    table = symmetric_group(basis.n)
+    zs = [_ranked(z) for z in basis.elements]
+    # one product is held at a time: each is reduced as it is made
+    products = (_mul_ranks(table, basis.params, zi, zj) for zi in zs for zj in zs)
     try:
-        coordinates = span_coordinates([element_to_vector(z) for z in elements])
-        return [
-            [coordinates(element_to_vector(mul(zi, zj))) for zj in elements]
-            for zi in elements
-        ]
+        cells = coordinates_in_span(zs, products, table.order)
     except (NoSolutionError, NonUniqueSolutionError) as exc:
         raise RuntimeError(f"center basis at n={basis.n} is inconsistent: {exc}") from exc
+    k = len(zs)
+    return [cells[i : i + k] for i in range(0, k * k, k)]
 
 
 # --- 0-Hecke support report --------------------------------------------------

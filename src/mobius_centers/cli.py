@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
+import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
@@ -62,10 +64,11 @@ _RANDOM_PAIR_COUNT = 10_000
 # at n = 7 it would hold 25.4 M, about 200 MB of list slots alone.
 _MAX_GRAM_ENTRIES = math.factorial(6) ** 2
 
-# Each command builds a table of one object per permutation, plus tables
-# derived from it: at n = 8 (40,320) `dim`, `classes`, `verify` and the
-# Nilcoxeter `basis` and `table` peak at 39-74 MB of RSS, and n = 9 would
-# need nine times as much.
+# Each command builds a table of one object per permutation, plus what it
+# computes on it: at n = 8 (40,320) `verify --suite relations` peaks at
+# 33 MB of RSS, the Nilcoxeter `basis` and `table` at 40-42 MB, `classes`
+# at 49 MB, `dim` at 52-68 MB and `verify --suite duality` at 73 MB; n = 9
+# would need nine times as much.
 _MAX_TABLE_ORDER = math.factorial(8)
 
 
@@ -549,6 +552,10 @@ def main(argv=None) -> int:
         print(f"error: -n must be in 1..{MAX_N}", file=sys.stderr)
         return 2
     try:
+        if args.output and not os.path.isdir(os.path.dirname(args.output) or os.curdir):
+            # the error open() would raise, before any work is done
+            missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+            raise UsageError(f"cannot write --output: {missing}")
         payload, status = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "format_rational",
@@ -39,11 +39,9 @@ __all__ = [
     "nullspace",
     "solve_affine",
     "coordinates_in_span",
-    "span_coordinates",
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def format_rational(x: Fraction) -> str:
@@ -282,18 +280,23 @@ def _common_dimension(vectors: Iterable[SparseVector]) -> tuple[list[SparseVecto
     return vs, dim
 
 
+def _entries(v: _Row, dimension: int) -> Mapping[int, Fraction | int]:
+    """The entries of a row: a ``SparseVector`` is checked against
+    ``dimension``, a dict is taken as it is."""
+    if isinstance(v, SparseVector):
+        if v.dimension != dimension:
+            raise ValueError(f"dimension mismatch: {v.dimension} vs {dimension}")
+        return v.entries
+    return v
+
+
 def _echelon(vectors: Iterable[_Row], dimension: int | None) -> _Echelon:
-    """The echelon of ``vectors``, the one loop where rows enter elimination:
-    a ``SparseVector`` is checked against ``dimension``, a dict goes in as is."""
+    """The echelon of ``vectors``, the one loop where rows enter elimination."""
     if dimension is None:
         vectors, dimension = _common_dimension(vectors)
     ech = _Echelon(dimension)
     for v in vectors:
-        if isinstance(v, SparseVector):
-            if v.dimension != dimension:
-                raise ValueError(f"dimension mismatch: {v.dimension} vs {dimension}")
-            v = v.entries
-        ech.insert(v)
+        ech.insert(_entries(v, dimension))
     return ech
 
 
@@ -362,40 +365,31 @@ def solve_affine(
 
 
 def coordinates_in_span(
-    basis: list[SparseVector], target: SparseVector
-) -> list[Fraction]:
-    """Coefficients c with ``sum(c_k * basis[k]) == target``.
+    basis: list[_Row], targets: Iterable[_Row], dimension: int | None = None
+) -> list[list[Fraction]]:
+    """For each target, the coefficients c with
+    ``sum(c_k * basis[k]) == target``; rows are taken as for ``span``.
 
-    The basis must be linearly independent (NonUniqueSolutionError otherwise);
-    NoSolutionError if the target is outside the span.
-    """
-    return span_coordinates(basis)(target)
-
-
-def span_coordinates(
-    basis: list[SparseVector],
-) -> Callable[[SparseVector], list[Fraction]]:
-    """``coordinates_in_span`` against one basis, inserted once: the
-    returned function maps a target to its coefficients.
-
-    Raises NonUniqueSolutionError at once if the basis is linearly
-    dependent; the function raises NoSolutionError for a target outside
+    The basis is inserted once, with a tail of k extra columns that tracks
+    each combination through elimination, and each target is reduced against
+    it as it arrives.  Raises NonUniqueSolutionError before any target is
+    read if the basis is linearly dependent (a pivot in the tail is a
+    vanishing combination), and NoSolutionError at the first target outside
     the span.
     """
-    vs, dim = _common_dimension(basis)
-    # Track combinations through elimination with a tail of k extra columns;
-    # a pivot in the tail is a combination of the basis that vanishes.
-    k = len(vs)
-    ech = _echelon(({**v.entries, dim + j: _ONE} for j, v in enumerate(vs)), dim + k)
-    if any(p >= dim for p in ech.rows):
+    if dimension is None:
+        basis, dimension = _common_dimension(basis)
+    k = len(basis)
+    ech = _echelon(
+        ({**_entries(v, dimension), dimension + j: 1} for j, v in enumerate(basis)),
+        dimension + k,
+    )
+    if any(p >= dimension for p in ech.rows):
         raise NonUniqueSolutionError("basis vectors are linearly dependent")
-
-    def coordinates(target: SparseVector) -> list[Fraction]:
-        if target.dimension != dim:
-            raise ValueError(f"dimension mismatch: {target.dimension} vs {dim}")
-        red, den = ech.reduce(target.entries)
-        if any(j < dim for j in red):
+    out = []
+    for target in targets:
+        red, den = ech.reduce(_entries(target, dimension))
+        if any(j < dimension for j in red):
             raise NoSolutionError("target is outside the span")
-        return [Fraction(-red.get(dim + j, 0), den) for j in range(k)]
-
-    return coordinates
+        out.append([Fraction(-red.get(dimension + j, 0), den) for j in range(k)])
+    return out

@@ -17,7 +17,7 @@ Conventions, fixed once and used everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
 from itertools import permutations as _lex_images
@@ -213,10 +213,6 @@ class PermTable:
     descent, swapping the values i+1 and i (left) or the entries at
     positions i and i+1 (right) puts the smaller one first.  So
     ``lmul[i-1][k] < k`` iff i is a left descent of ``images[k]``.
-
-    ``derived`` holds tables that other modules build from this one, keyed
-    by their own keys.  They share its lifetime: clearing the cache of
-    ``symmetric_group`` drops them too.
     """
 
     n: int
@@ -227,7 +223,6 @@ class PermTable:
     rmul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     w0: int
-    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     def rank(self, w: Permutation) -> int:
         return self.index[w.image]

@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
@@ -340,7 +344,11 @@ def test_output_file(tmp_path, capsys):
     jsonschema.validate(payload, CLASS_REPORT_SCHEMA)
 
 
-def test_output_file_in_missing_directory_is_usage_error(tmp_path, capsys):
+def test_output_file_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def fail(args):
+        raise AssertionError("the command ran before --output was checked")
+
+    monkeypatch.setitem(cli._COMMANDS, "dim", fail)
     target = tmp_path / "missing" / "out.json"
     status, out, err = run(
         capsys, "dim", "--algebra", "1,1", "-n", "3", "--output", str(target),
@@ -350,6 +358,34 @@ def test_output_file_in_missing_directory_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot write --output: ")
     assert str(target) in err
     assert not target.parent.exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_relations_n8_peak_memory():
+    # Products of generators push through the lmul rows directly; a table
+    # of every generator's left terms took this command to 69 MB.  The
+    # child reports VmHWM, the peak of its own address space: its ru_maxrss
+    # would include the resident set of this process, which Linux carries
+    # into a child at exec.
+    code = (
+        "import contextlib, io\n"
+        "from mobius_centers.cli import main\n"
+        "argv = ['verify', '--suite', 'relations', '--algebra', '0-hecke', '-n', '8']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(argv)\n"
+        "status_lines = open('/proc/self/status').read().splitlines()\n"
+        "peak = next(line.split()[1] for line in status_lines if line.startswith('VmHWM:'))\n"
+        "print(status, peak)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    status, peak_kb = map(int, done.stdout.split())
+    assert status == 0
+    assert peak_kb < 50 * 1024, f"peak {peak_kb / 1024:.1f} MB"
 
 
 # strings with quotes, backslashes, control characters, non-ASCII and

@@ -1,6 +1,6 @@
 """The integer-index kernel against the element-level products it replaced.
 
-Every consumer of ``generator_terms`` is compared, entry by entry, with the
+Every consumer of the index tables is compared, entry by entry, with the
 same quantity built from ``mul_left_generator`` / ``mul_right_generator`` on
 ``basis_element``, for the presets and for drawn pairs (a, b).  The full
 product and the Gram matrix are compared with ``reference_mul``, which folds
@@ -18,9 +18,10 @@ from mobius_centers.algebra import (
     ZERO_HECKE,
     AlgebraElement,
     AlgebraParams,
+    _integral,
+    _push,
     basis_element,
     commutator_terms,
-    generator_terms,
     gram_matrix,
     mul,
     mul_left_generator,
@@ -89,31 +90,33 @@ def assert_kernel_entries(rows):
 @given(sizes, algebras)
 @settings(max_examples=80, deadline=None)
 def test_generator_terms_and_single_term_actions_match_element_products(n, params):
+    # _push applies the two-case rule off one lmul row; for the presets the
+    # action tables give each product as a single index or zero
     table = symmetric_group(n)
+    a, b = _integral(params.a), _integral(params.b)
     single = single_term_actions(n, params) if preset_name(params) else None
-    for side, left in enumerate((True, False)):
-        for i in range(1, n):
-            for k, terms in enumerate(generator_terms(n, params, i, left)):
-                x = basis_element(params, table.perms[k])
-                expect = element_vector(
-                    mul_left_generator(i, x) if left else mul_right_generator(x, i)
-                )
-                assert dict(terms) == expect
-                assert len(terms) == len(expect) <= 2
-                if single is not None:
+    for i in range(1, n):
+        for k, w in enumerate(table.perms):
+            x = basis_element(params, w)
+            expect = element_vector(mul_left_generator(i, x))
+            assert _push({k: 1}, table.lmul[i - 1], a, b) == expect
+            if single is not None:
+                right = element_vector(mul_right_generator(x, i))
+                for side, product in enumerate((expect, right)):
                     got = single[side][i - 1][k]
-                    assert expect == ({} if got == -1 else {got: 1})
+                    assert product == ({} if got == -1 else {got: 1})
 
 
 def reference_single_term_actions(n, params):
-    # the action tables as read off generator_terms, one product at a time
-    return tuple(
-        tuple(
-            tuple(t[0][0] if t else -1 for t in generator_terms(n, params, i, side))
-            for i in range(1, n)
-        )
-        for side in (True, False)
-    )
+    # the action tables as read off the element products, one at a time
+    def index(product):
+        (k,) = element_vector(product) or (-1,)
+        return k
+
+    elements = [basis_element(params, w) for w in symmetric_group(n).perms]
+    left = tuple(tuple(index(mul_left_generator(i, x)) for x in elements) for i in range(1, n))
+    right = tuple(tuple(index(mul_right_generator(x, i)) for x in elements) for i in range(1, n))
+    return left, right
 
 
 @pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)

@@ -216,18 +216,18 @@ def test_solve_affine_two_by_two():
 def test_coordinates_in_span():
     basis = [vec(3, e0=1, e1=1), vec(3, e2=1)]
     target = vec(3, e0=2, e1=2, e2=-1)
-    assert coordinates_in_span(basis, target) == [Fraction(2), Fraction(-1)]
+    assert coordinates_in_span(basis, [target]) == [[Fraction(2), Fraction(-1)]]
 
 
 def test_coordinates_outside_span():
     with pytest.raises(NoSolutionError):
-        coordinates_in_span([vec(3, e0=1)], vec(3, e1=1))
+        coordinates_in_span([vec(3, e0=1)], [vec(3, e1=1)])
 
 
 def test_coordinates_reject_dependent_basis():
     v = vec(3, e0=1)
     with pytest.raises(NonUniqueSolutionError):
-        coordinates_in_span([v, v.scaled(2)], v)
+        coordinates_in_span([v, v.scaled(2)], [v])
 
 
 # --- rank modulo a prime as an independent oracle ----------------------------------
@@ -490,8 +490,8 @@ def test_coordinates_in_span_match_dense_oracle(system, rnd):
     with watched_echelon():
         if dense_rank_oracle(matrix) < len(basis):
             with pytest.raises(NonUniqueSolutionError):
-                coordinates_in_span(basis, target)
+                coordinates_in_span(basis, [target])
         else:
-            got = coordinates_in_span(basis, target)
+            (got,) = coordinates_in_span(basis, [target])
             assert got == coeffs
             assert_fractions(got)
