@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from .linalg import SparseVector, format_rational, parse_rational
+from .linalg import format_rational, parse_rational
 from .perm import (
     Permutation,
     conjugate_by_w0,
@@ -59,8 +59,6 @@ __all__ = [
     "check_defining_relations",
     "commutator_terms",
     "single_term_actions",
-    "element_to_vector",
-    "vector_to_element",
     "element_to_json",
     "ELEMENT_SCHEMA",
 ]
@@ -477,23 +475,6 @@ def single_term_actions(
         )
         for side in (table.lmul, table.rmul)
     )
-
-
-def element_to_vector(x: AlgebraElement) -> SparseVector:
-    """Coordinates over the basis, indexed by lexicographic rank."""
-    table = symmetric_group(x.n)
-    return SparseVector(
-        table.order, {table.rank(w): c for w, c in x.terms.items()}
-    )
-
-
-def vector_to_element(
-    v: SparseVector, n: int, params: AlgebraParams
-) -> AlgebraElement:
-    table = symmetric_group(n)
-    if v.dimension != table.order:
-        raise ValueError(f"dimension mismatch: {v.dimension} vs {table.order}")
-    return AlgebraElement(n, params, {table.perms[k]: c for k, c in v.entries.items()})
 
 
 # --- JSON wire format -------------------------------------------------------

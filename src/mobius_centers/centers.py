@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterator
 
 from .algebra import (
@@ -39,6 +38,7 @@ from .linalg import (
     NonUniqueSolutionError,
     NoSolutionError,
     Subspace,
+    _as_ints,
     coordinates_in_span,
     format_rational,
     nullspace,
@@ -168,10 +168,7 @@ def dual_center_basis(n: int, params: AlgebraParams) -> CenterBasis:
     classes = mobius_classes(n, params)
     reps = classes.representatives
     m = len(reps)
-    central = []
-    for z in center(n, params).basis:
-        den = lcm(*(c.denominator for c in z.entries.values()))
-        central.append({v: c.numerator * (den // c.denominator) for v, c in z.entries.items()})
+    central = [_as_ints(z.entries)[0] for z in center(n, params).basis]
     class_of = {u: l for l, ranks in enumerate(classes.member_ranks) for u in ranks}
     rows = []
     for u, gram_row in enumerate(_gram(n, params)):

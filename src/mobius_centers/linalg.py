@@ -1,9 +1,10 @@
 """
 Exact sparse linear algebra over the rationals.
 
-Coefficients are ``fractions.Fraction`` (arbitrary-precision, always in
-lowest terms with positive denominator), so ranks, nullspaces and solves are
-exact.  No floating point is used anywhere in this module.
+Ranks, nullspaces and solves are exact: the elimination holds Python ints
+and results leave it as ``fractions.Fraction``s (arbitrary-precision, always
+in lowest terms with positive denominator).  No floating point is used
+anywhere in this module.
 
 Subspaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal exactly when their stored bases are equal, independent
@@ -15,9 +16,10 @@ gcd 1, a positive entry at its pivot and none at any other pivot.  A
 ``Fraction`` is built only when a result leaves the elimination, by one
 division by the pivot entry.
 
-``span``, ``rank`` and ``nullspace`` take rows as ``SparseVector``s or, given
-the dimension, as the kernel's dicts of nonzero int or ``Fraction`` entries.
-Every vector and subspace returned holds ``Fraction`` entries.
+Every entry point takes rows in one format, the kernel's mappings
+``{index: nonzero int | Fraction}``, together with the dimension.
+``SparseVector`` and ``Subspace`` are output types: every vector and
+subspace returned holds ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ class NonUniqueSolutionError(Exception):
 
 @dataclass(frozen=True)
 class SparseVector:
-    """A vector with only its nonzero entries stored.
+    """A vector with only its nonzero entries stored, as ``Fraction``s.
 
-    Treated as immutable; all operations return new vectors.
+    The type of the vectors this module returns; treated as immutable.
     """
 
     dimension: int
@@ -84,30 +86,8 @@ class SparseVector:
                 clean[j] = c
         object.__setattr__(self, "entries", clean)
 
-    def get(self, j: int) -> Fraction:
-        return self.entries.get(j, _ZERO)
 
-    def scaled(self, c) -> "SparseVector":
-        c = Fraction(c)
-        if not c:
-            return SparseVector(self.dimension, {})
-        return SparseVector(self.dimension, {j: c * v for j, v in self.entries.items()})
-
-    def dot(self, other: "SparseVector") -> Fraction:
-        self._check(other)
-        small, big = self.entries, other.entries
-        if len(big) < len(small):
-            small, big = big, small
-        return sum((c * big[j] for j, c in small.items() if j in big), _ZERO)
-
-    def _check(self, other: "SparseVector") -> None:
-        if self.dimension != other.dimension:
-            raise ValueError(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}"
-            )
-
-
-_Row = SparseVector | Mapping[int, Fraction | int]
+_Row = Mapping[int, Fraction | int]
 
 
 def _axpy(v: dict, row: Mapping[int, Fraction], c: Fraction) -> None:
@@ -269,51 +249,26 @@ def _subspace_from_echelon(ech: _Echelon) -> Subspace:
     return Subspace(ech.dimension, tuple(basis), pivots)
 
 
-def _common_dimension(vectors: Iterable[SparseVector]) -> tuple[list[SparseVector], int]:
-    vs = list(vectors)
-    if not vs:
-        raise ValueError("no vectors and no ambient dimension given")
-    dim = vs[0].dimension
-    for v in vs:
-        if v.dimension != dim:
-            raise ValueError(f"dimension mismatch: {v.dimension} vs {dim}")
-    return vs, dim
-
-
-def _entries(v: _Row, dimension: int) -> Mapping[int, Fraction | int]:
-    """The entries of a row: a ``SparseVector`` is checked against
-    ``dimension``, a dict is taken as it is."""
-    if isinstance(v, SparseVector):
-        if v.dimension != dimension:
-            raise ValueError(f"dimension mismatch: {v.dimension} vs {dimension}")
-        return v.entries
-    return v
-
-
-def _echelon(vectors: Iterable[_Row], dimension: int | None) -> _Echelon:
+def _echelon(vectors: Iterable[_Row], dimension: int) -> _Echelon:
     """The echelon of ``vectors``, the one loop where rows enter elimination."""
-    if dimension is None:
-        vectors, dimension = _common_dimension(vectors)
     ech = _Echelon(dimension)
     for v in vectors:
-        ech.insert(_entries(v, dimension))
+        ech.insert(v)
     return ech
 
 
-def span(vectors: Iterable[_Row], dimension: int | None = None) -> Subspace:
-    """Reduced row echelon basis of the span, computed exactly.  Rows are
-    ``SparseVector``s, or dicts when ``dimension`` is given."""
+def span(vectors: Iterable[_Row], dimension: int) -> Subspace:
+    """Reduced row echelon basis of the span, computed exactly."""
     return _subspace_from_echelon(_echelon(vectors, dimension))
 
 
-def rank(vectors: Iterable[_Row], dimension: int | None = None) -> int:
-    """Dimension of the span, with no basis built; rows as for ``span``."""
+def rank(vectors: Iterable[_Row], dimension: int) -> int:
+    """Dimension of the span, with no basis built."""
     return _echelon(vectors, dimension).dim
 
 
 def nullspace(vectors: Iterable[_Row], dimension: int) -> Subspace:
-    """The space of x with ``row . x = 0`` for every input row; rows as for
-    ``span``."""
+    """The space of x with ``row . x = 0`` for every input row."""
     ech = _echelon(vectors, dimension)
     raw = []
     for f in range(dimension):
@@ -328,8 +283,9 @@ def nullspace(vectors: Iterable[_Row], dimension: int) -> Subspace:
 
 
 def solve_affine(
-    constraints: Iterable[tuple[SparseVector, Fraction]],
-    unknowns_basis: list[SparseVector],
+    constraints: Iterable[tuple[_Row, Fraction]],
+    unknowns_basis: list[_Row],
+    dimension: int,
 ) -> SparseVector:
     """The unique x in the span of ``unknowns_basis`` with
     ``constraint . x = value`` for every pair.
@@ -339,15 +295,15 @@ def solve_affine(
     """
     if not unknowns_basis:
         raise ValueError("empty unknowns basis")
-    _, dim = _common_dimension(unknowns_basis)
     k = len(unknowns_basis)
     # Column k holds the negated right-hand side; a solution c is then a
     # nullvector of the augmented rows with last coordinate 1.
     def rows():
         for cvec, value in constraints:
-            if cvec.dimension != dim:
-                raise ValueError(f"dimension mismatch: {cvec.dimension} vs {dim}")
-            row = {j: c for j, u in enumerate(unknowns_basis) if (c := cvec.dot(u))}
+            row = {}
+            for j, u in enumerate(unknowns_basis):
+                if dot := sum(c * u[i] for i, c in cvec.items() if i in u):
+                    row[j] = dot
             if value:
                 row[k] = -Fraction(value)
             yield row
@@ -360,15 +316,15 @@ def solve_affine(
     out: dict[int, Fraction] = {}
     for p, row in ech.rows.items():
         if k in row:
-            _axpy(out, unknowns_basis[p].entries, Fraction(row[k], row[p]))
-    return SparseVector(dim, out)
+            _axpy(out, unknowns_basis[p], Fraction(row[k], row[p]))
+    return SparseVector(dimension, out)
 
 
 def coordinates_in_span(
-    basis: list[_Row], targets: Iterable[_Row], dimension: int | None = None
+    basis: list[_Row], targets: Iterable[_Row], dimension: int
 ) -> list[list[Fraction]]:
     """For each target, the coefficients c with
-    ``sum(c_k * basis[k]) == target``; rows are taken as for ``span``.
+    ``sum(c_k * basis[k]) == target``.
 
     The basis is inserted once, with a tail of k extra columns that tracks
     each combination through elimination, and each target is reduced against
@@ -377,18 +333,16 @@ def coordinates_in_span(
     vanishing combination), and NoSolutionError at the first target outside
     the span.
     """
-    if dimension is None:
-        basis, dimension = _common_dimension(basis)
     k = len(basis)
     ech = _echelon(
-        ({**_entries(v, dimension), dimension + j: 1} for j, v in enumerate(basis)),
+        ({**v, dimension + j: 1} for j, v in enumerate(basis)),
         dimension + k,
     )
     if any(p >= dimension for p in ech.rows):
         raise NonUniqueSolutionError("basis vectors are linearly dependent")
     out = []
     for target in targets:
-        red, den = ech.reduce(_entries(target, dimension))
+        red, den = ech.reduce(target)
         if any(j < dimension for j in red):
             raise NoSolutionError("target is outside the span")
         out.append([Fraction(-red.get(dimension + j, 0), den) for j in range(k)])

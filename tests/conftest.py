@@ -1,8 +1,8 @@
 from hypothesis import strategies as st
 
 from mobius_centers import GROUP_ALGEBRA, NILCOXETER, ZERO_HECKE
-from mobius_centers.algebra import AlgebraParams
-from mobius_centers.perm import Permutation
+from mobius_centers.algebra import AlgebraElement, AlgebraParams
+from mobius_centers.perm import Permutation, symmetric_group
 
 PRESETS = [NILCOXETER, ZERO_HECKE, GROUP_ALGEBRA]
 PRESET_IDS = ["nilcoxeter", "0-hecke", "group"]
@@ -28,3 +28,16 @@ def perms_sharing_n(draw, count=1, min_n=1, max_n=8):
         Permutation(tuple(draw(st.permutations(list(range(1, n + 1))))))
         for _ in range(count)
     )
+
+
+def element_to_vector(x: AlgebraElement) -> dict:
+    """Coordinates of ``x`` over the basis, indexed by lexicographic rank,
+    as the ``{index: coefficient}`` rows that linalg takes."""
+    table = symmetric_group(x.n)
+    return {table.rank(w): c for w, c in x.terms.items()}
+
+
+def vector_to_element(v, n: int, params: AlgebraParams) -> AlgebraElement:
+    """The element with coordinates ``v``, a mapping ``{rank: coefficient}``."""
+    perms = symmetric_group(n).perms
+    return AlgebraElement(n, params, {perms[k]: c for k, c in v.items()})

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from conftest import PRESETS, PRESET_IDS, perms_sharing_n
+from conftest import PRESETS, PRESET_IDS, element_to_vector, perms_sharing_n, vector_to_element
 from mobius_centers.algebra import (
     ELEMENT_SCHEMA,
     GROUP_ALGEBRA,
@@ -16,7 +16,6 @@ from mobius_centers.algebra import (
     basis_element,
     check_defining_relations,
     element_to_json,
-    element_to_vector,
     gram_matrix,
     involve,
     mul,
@@ -27,10 +26,9 @@ from mobius_centers.algebra import (
     single_term_actions,
     trace,
     unit,
-    vector_to_element,
     zero,
 )
-from mobius_centers.linalg import SparseVector, rank
+from mobius_centers.linalg import rank
 from mobius_centers.perm import (
     compose,
     evaluate,
@@ -225,10 +223,7 @@ def test_bruhat_tableau_criterion_examples():
 def test_gram_nondegenerate(n, params):
     gram = gram_matrix(n, params)
     order = len(gram)
-    rows = [
-        SparseVector(order, {j: c for j, c in enumerate(row) if c})
-        for row in gram
-    ]
+    rows = [{j: c for j, c in enumerate(row) if c} for row in gram]
     assert rank(rows, order) == order
 
 

@@ -7,19 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PRESETS, PRESET_IDS, algebras
+from conftest import PRESETS, PRESET_IDS, algebras, element_to_vector, vector_to_element
 from mobius_centers import centers
 from mobius_centers.algebra import (
     GROUP_ALGEBRA,
     NILCOXETER,
     ZERO_HECKE,
     basis_element,
-    element_to_vector,
     mul,
     parse_algebra,
     trace,
     unit,
-    vector_to_element,
     zero,
 )
 from mobius_centers.centers import (
@@ -178,7 +176,7 @@ def test_twisted_center_nc3_dimension():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_center_members_commute_with_generators(n, params):
     for v in center(n, params).basis:
-        assert is_central(vector_to_element(v, n, params))
+        assert is_central(vector_to_element(v.entries, n, params))
 
 
 # --- the closed-form basis --------------------------------------------------------

@@ -332,6 +332,49 @@ def test_terms_n5_golden_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == TERMS_N5_SHA256[command]
 
 
+# sha256 of the output of the commands whose rows go through linalg,
+# recorded before linalg took rows in one format only.
+LINALG_ROUTES_SHA256 = {
+    ("dim", "--algebra=nilcoxeter", "-n", "5", "--format", "json"): "fec2dc1619a4c8f52f72b1ccb00c785d6452700a017e6f45ba4f5b45b81bd3d7",
+    ("dim", "--algebra=nilcoxeter", "-n", "5", "--format", "csv"): "bae5e7b88589f90f653c5707542ed6664fcb7d8f3e76bcd3328d6ddd46ba088e",
+    ("dim", "--algebra=nilcoxeter", "-n", "5", "--format", "text"): "20a15b600a020ba03417db95446135ec3baaf39e3b17a56d8af6f97e851e2a90",
+    ("verify", "--algebra=nilcoxeter", "--suite", "all", "-n", "4", "--format", "json"): "7abe01c58ff4918ed87d8e8345bcba953cbb260c128fbb38084cc1ea4c9ee678",
+    ("verify", "--algebra=nilcoxeter", "--suite", "all", "-n", "4", "--format", "csv"): "b7ff8a023e1d9ae274afaac92e94e5c2816808ffdb301798e11f658da35ff6db",
+    ("verify", "--algebra=nilcoxeter", "--suite", "all", "-n", "4", "--format", "text"): "b6a27b1f1fe9311eb808f57bf4cd67325e0468ea831559098d232aab99df3ef1",
+    ("dim", "--algebra=0-hecke", "-n", "5", "--format", "json"): "5b8517915b3b203ddd2f4624bc0ef3d8b87c7c352e09bd5d41f3cb4906eaf70f",
+    ("dim", "--algebra=0-hecke", "-n", "5", "--format", "csv"): "ea2535799e2c6b97ba59406952cc91a225ace21a311687af632da3e03cf90d55",
+    ("dim", "--algebra=0-hecke", "-n", "5", "--format", "text"): "20a15b600a020ba03417db95446135ec3baaf39e3b17a56d8af6f97e851e2a90",
+    ("verify", "--algebra=0-hecke", "--suite", "all", "-n", "4", "--format", "json"): "f2df8118dd7b55f381f786f956c91b6bd5f76a8832565273b73ceb84b80ce3a5",
+    ("verify", "--algebra=0-hecke", "--suite", "all", "-n", "4", "--format", "csv"): "02aaa622d563842e5089463c66714be0c55270c5969a9c64f8467a051e3699c0",
+    ("verify", "--algebra=0-hecke", "--suite", "all", "-n", "4", "--format", "text"): "3725840640a8e8a329673db4e151a7aec287a04bbab6c93c058b024346972bc8",
+    ("dim", "--algebra=group", "-n", "5", "--format", "json"): "646416df0938d0e5d1af6de191ab65d158c49c9efda3d540e50f951756410c80",
+    ("dim", "--algebra=group", "-n", "5", "--format", "csv"): "90e56e07a55b44f916dbd84e71657449f1330c286b121b1b6cdd28c2c20aac0b",
+    ("dim", "--algebra=group", "-n", "5", "--format", "text"): "9834a57484b59e63edc2898f768e1d21da79cbc984a270f01b05d176b190ebbf",
+    ("verify", "--algebra=group", "--suite", "all", "-n", "4", "--format", "json"): "9f81903b3eb29204f4cf079854e7553c4d8ce20fed223ca9409280a70126c2c3",
+    ("verify", "--algebra=group", "--suite", "all", "-n", "4", "--format", "csv"): "02aaa622d563842e5089463c66714be0c55270c5969a9c64f8467a051e3699c0",
+    ("verify", "--algebra=group", "--suite", "all", "-n", "4", "--format", "text"): "3725840640a8e8a329673db4e151a7aec287a04bbab6c93c058b024346972bc8",
+    ("dim", "--algebra=2/3,1/2", "-n", "5", "--format", "json"): "8e88d52da4a3ada18a7d4b76e3a469c9a7c46e80659f1ecd3b179f493ea498f7",
+    ("dim", "--algebra=2/3,1/2", "-n", "5", "--format", "csv"): "05d21915e722810347b473b16f6b2226782031bd1253e89cc40a27dbc2c1066c",
+    ("dim", "--algebra=2/3,1/2", "-n", "5", "--format", "text"): "9834a57484b59e63edc2898f768e1d21da79cbc984a270f01b05d176b190ebbf",
+    ("verify", "--algebra=2/3,1/2", "--suite", "all", "-n", "4", "--format", "json"): "f2140c4a00f01e83919071ec1fc083215c940bb783d1859914ed0f004311886a",
+    ("verify", "--algebra=2/3,1/2", "--suite", "all", "-n", "4", "--format", "csv"): "02aaa622d563842e5089463c66714be0c55270c5969a9c64f8467a051e3699c0",
+    ("verify", "--algebra=2/3,1/2", "--suite", "all", "-n", "4", "--format", "text"): "3725840640a8e8a329673db4e151a7aec287a04bbab6c93c058b024346972bc8",
+    ("basis", "--algebra=nilcoxeter", "-n", "5", "--format", "json"): "ba684278d5791f73a0e84fbe138df5fe57806acd83491e6486fc33e1b821749e",
+    ("basis", "--algebra=nilcoxeter", "-n", "5", "--format", "csv"): "27d5f56926e50eb372f56324a2b7f4a5ed563481cfc38dbc6f0ea3b301bf722c",
+    ("basis", "--algebra=nilcoxeter", "-n", "5", "--format", "text"): "74f14d5588aa54455fb2458ec28b6eb0c530f172b2dcff62cb27169ff00c5ec8",
+    ("table", "--algebra=nilcoxeter", "-n", "5", "--format", "json"): "acfa8747131fa6f216a449e384eef9432ab3fd2441b703f881f1f53b89c46040",
+    ("table", "--algebra=nilcoxeter", "-n", "5", "--format", "csv"): "5220f2493b2318d41212eb61212fd6c9c7a1b54987a3d98ee762b115b4d8d9f0",
+    ("table", "--algebra=nilcoxeter", "-n", "5", "--format", "text"): "0eda5affd239c2335c1291fe691b605aca43c4577557ef17eb645cce3e263e21",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LINALG_ROUTES_SHA256))
+def test_linalg_routes_golden_bytes(capsys, argv):
+    status, out, _ = run(capsys, *argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LINALG_ROUTES_SHA256[argv]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     status, out, _ = run(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PRESET_IDS, PRESETS, algebras, nonzero, rationals
+from conftest import PRESET_IDS, PRESETS, algebras, element_to_vector, nonzero, rationals
 from mobius_centers.algebra import (
     ZERO_HECKE,
     AlgebraElement,
@@ -39,11 +39,6 @@ from mobius_centers.quotients import _commutator_rows, generator_vectors
 sizes = st.integers(min_value=1, max_value=4)
 
 
-def element_vector(x) -> dict:
-    table = symmetric_group(x.n)
-    return {table.rank(u): c for u, c in x.terms.items()}
-
-
 def reference_generator_vectors(n, params, twisted):
     table = symmetric_group(n)
     out = []
@@ -53,7 +48,7 @@ def reference_generator_vectors(n, params, twisted):
             x = basis_element(params, w)
             diff = mul_left_generator(i, x) - mul_right_generator(x, j)
             if not diff.is_zero():
-                out.append(SparseVector(table.order, element_vector(diff)))
+                out.append(SparseVector(table.order, element_to_vector(diff)))
     return out
 
 
@@ -67,9 +62,9 @@ def reference_constraint_rows(n, params, twisted):
                 diff = mul_right_generator(x, i) - mul_left_generator(n - i, x)
             else:
                 diff = mul_left_generator(i, x) - mul_right_generator(x, i)
-            for u, c in element_vector(diff).items():
+            for u, c in element_to_vector(diff).items():
                 rows.setdefault((i, u), {})[k] = c
-    return [SparseVector(table.order, r) for r in rows.values()]
+    return list(rows.values())
 
 
 def as_entries(vectors):
@@ -98,10 +93,10 @@ def test_generator_terms_and_single_term_actions_match_element_products(n, param
     for i in range(1, n):
         for k, w in enumerate(table.perms):
             x = basis_element(params, w)
-            expect = element_vector(mul_left_generator(i, x))
+            expect = element_to_vector(mul_left_generator(i, x))
             assert _push({k: 1}, table.lmul[i - 1], a, b) == expect
             if single is not None:
-                right = element_vector(mul_right_generator(x, i))
+                right = element_to_vector(mul_right_generator(x, i))
                 for side, product in enumerate((expect, right)):
                     got = single[side][i - 1][k]
                     assert product == ({} if got == -1 else {got: 1})
@@ -110,7 +105,7 @@ def test_generator_terms_and_single_term_actions_match_element_products(n, param
 def reference_single_term_actions(n, params):
     # the action tables as read off the element products, one at a time
     def index(product):
-        (k,) = element_vector(product) or (-1,)
+        (k,) = element_to_vector(product) or (-1,)
         return k
 
     elements = [basis_element(params, w) for w in symmetric_group(n).perms]
@@ -142,8 +137,9 @@ def test_constraint_rows_match_element_products(n, params, twisted):
     rows = _constraint_rows(n, params, twisted)
     assert iter(rows) is rows
     got = list(rows)
-    want = [v.scaled(params.denominator) for v in reference_constraint_rows(n, params, twisted)]
-    assert sorted(sorted(r.items()) for r in got) == sorted(as_entries(want))
+    d = params.denominator
+    want = [{k: d * c for k, c in r.items()} for r in reference_constraint_rows(n, params, twisted)]
+    assert sorted(sorted(r.items()) for r in got) == sorted(sorted(r.items()) for r in want)
     assert_kernel_entries(got)
 
 
@@ -174,7 +170,7 @@ def test_row_order_changes_no_result(n, params, twisted):
     rows = list(_commutator_rows(n, params, twisted))
     space = span(rows, order)
     assert space == span(rows[::-1], order)
-    assert space == span(generator_vectors(n, params, twisted), order)
+    assert space == span([v.entries for v in generator_vectors(n, params, twisted)], order)
     assert rank(rows, order) == rank(rows[::-1], order) == space.dim
     assert nullspace(rows, order) == nullspace(rows[::-1], order)
     constraints = list(_constraint_rows(n, params, twisted))

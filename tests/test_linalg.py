@@ -24,8 +24,16 @@ from mobius_centers.perm import symmetric_group
 from mobius_centers.quotients import generator_vectors, twisted_commutator_span
 
 
-def vec(dim, **entries):
-    return SparseVector(dim, {int(k[1:]): Fraction(v) for k, v in entries.items()})
+def vec(**entries):
+    return {int(k[1:]): Fraction(v) for k, v in entries.items() if v}
+
+
+def get(v, j):
+    return v.get(j, Fraction(0))
+
+
+def dot(u, v):
+    return sum((c * v[j] for j, c in u.items() if j in v), Fraction(0))
 
 
 def dense_rref(matrix, cols):
@@ -55,11 +63,7 @@ def dense_rank_oracle(matrix):
 
 
 def to_sparse(matrix):
-    cols = len(matrix[0]) if matrix else 0
-    return [
-        SparseVector(cols, {j: Fraction(x) for j, x in enumerate(row) if x})
-        for row in matrix
-    ]
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
 
 
 # --- rationals ----------------------------------------------------------------
@@ -82,45 +86,47 @@ def test_span_of_nothing_is_zero_subspace():
 
 
 def test_span_fills_the_plane():
-    space = span([vec(2, e0=1), vec(2, e0=1, e1=1)])
+    space = span([vec(e0=1), vec(e0=1, e1=1)], 2)
     assert space.dim == 2
 
 
 def test_rank_examples():
-    v = vec(3, e0=2, e2=5)
-    assert rank([v, v.scaled(2)]) == 1
-    assert rank([vec(4, **{f"e{j}": 1}) for j in range(4)]) == 4
+    v = vec(e0=2, e2=5)
+    assert rank([v, {j: 2 * c for j, c in v.items()}], 3) == 1
+    assert rank([vec(**{f"e{j}": 1}) for j in range(4)], 4) == 4
 
 
 def test_span_dimension_mismatch():
-    with pytest.raises(ValueError):
-        span([vec(2, e0=1), vec(3, e0=1)])
+    # rows go in unchecked; an index outside the dimension is refused by the
+    # SparseVector that span returns it in
+    with pytest.raises(ValueError, match="outside dimension"):
+        span([vec(e0=1), vec(e2=1)], 2)
 
 
 @pytest.mark.parametrize("op", [span, rank, nullspace])
 def test_sparse_vector_of_wrong_dimension_is_refused(op):
-    # dict rows go in unchecked; a SparseVector row is checked against the
-    # given dimension even among dicts
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        op([{0: 1}, vec(3, e0=1)], 2)
+    # rows go in as mappings only: a SparseVector, the output type, is not
+    # read as a row
+    with pytest.raises(AttributeError):
+        op([{0: 1}, SparseVector(3, {0: 1})], 2)
 
 
 def test_nc3_twisted_generators_have_rank_three():
     vectors = generator_vectors(3, PRESETS[0], twisted=True)
-    assert rank(vectors, symmetric_group(3).order) == 3
-    dense = [[v.get(j) for j in range(6)] for v in vectors]
+    assert rank([v.entries for v in vectors], symmetric_group(3).order) == 3
+    dense = [[get(v.entries, j) for j in range(6)] for v in vectors]
     assert dense_rank_oracle(dense) == 3
 
 
 def test_h3_twisted_generators_have_rank_three():
     vectors = generator_vectors(3, PRESETS[1], twisted=True)
-    assert rank(vectors, 6) == 3
+    assert rank([v.entries for v in vectors], 6) == 3
 
 
 def test_span_idempotent():
-    vectors = [vec(4, e0=1, e2=3), vec(4, e1=2), vec(4, e0=1, e1=2, e2=3)]
-    space = span(vectors)
-    again = span(list(space.basis))
+    vectors = [vec(e0=1, e2=3), vec(e1=2), vec(e0=1, e1=2, e2=3)]
+    space = span(vectors, 4)
+    again = span([b.entries for b in space.basis], 4)
     assert again == space
 
 
@@ -163,10 +169,10 @@ def test_all_arithmetic_stays_rational(matrix):
 
 def test_nullspace_simple():
     # x0 + x1 = 0 in dim 3
-    space = nullspace([vec(3, e0=1, e1=1)], 3)
+    space = nullspace([vec(e0=1, e1=1)], 3)
     assert space.dim == 2
     for b in space.basis:
-        assert b.get(0) + b.get(1) == 0
+        assert get(b.entries, 0) + get(b.entries, 1) == 0
 
 
 @given(matrices)
@@ -177,57 +183,58 @@ def test_nullspace_orthogonal_to_rows_and_complements_rank(matrix):
     assert null.dim == dim - rank(vectors, dim)
     for b in null.basis:
         for v in vectors:
-            assert v.dot(b) == 0
+            assert dot(v, b.entries) == 0
 
 
 # --- solve_affine ------------------------------------------------------------------
 
 
 def test_solve_affine_simple():
-    e0 = vec(2, e0=1)
-    x = solve_affine([(e0, Fraction(1))], [e0])
-    assert x == e0
+    e0 = vec(e0=1)
+    x = solve_affine([(e0, Fraction(1))], [e0], 2)
+    assert x == SparseVector(2, e0)
 
 
 def test_solve_affine_inconsistent():
-    e0 = vec(2, e0=1)
+    e0 = vec(e0=1)
     with pytest.raises(NoSolutionError):
-        solve_affine([(e0, Fraction(1)), (e0, Fraction(0))], [e0])
+        solve_affine([(e0, Fraction(1)), (e0, Fraction(0))], [e0], 2)
 
 
 def test_solve_affine_underdetermined():
-    e0, e1 = vec(2, e0=1), vec(2, e1=1)
+    e0, e1 = vec(e0=1), vec(e1=1)
     with pytest.raises(NonUniqueSolutionError):
-        solve_affine([(e0, Fraction(1))], [e0, e1])
+        solve_affine([(e0, Fraction(1))], [e0, e1], 2)
 
 
 def test_solve_affine_two_by_two():
-    e0, e1 = vec(2, e0=1), vec(2, e1=1)
+    e0, e1 = vec(e0=1), vec(e1=1)
     x = solve_affine(
-        [(vec(2, e0=1, e1=1), Fraction(3)), (vec(2, e0=1, e1=-1), Fraction(1))],
+        [(vec(e0=1, e1=1), Fraction(3)), (vec(e0=1, e1=-1), Fraction(1))],
         [e0, e1],
+        2,
     )
-    assert x == vec(2, e0=2, e1=1)
+    assert x == SparseVector(2, vec(e0=2, e1=1))
 
 
 # --- coordinates ---------------------------------------------------------------------
 
 
 def test_coordinates_in_span():
-    basis = [vec(3, e0=1, e1=1), vec(3, e2=1)]
-    target = vec(3, e0=2, e1=2, e2=-1)
-    assert coordinates_in_span(basis, [target]) == [[Fraction(2), Fraction(-1)]]
+    basis = [vec(e0=1, e1=1), vec(e2=1)]
+    target = vec(e0=2, e1=2, e2=-1)
+    assert coordinates_in_span(basis, [target], 3) == [[Fraction(2), Fraction(-1)]]
 
 
 def test_coordinates_outside_span():
     with pytest.raises(NoSolutionError):
-        coordinates_in_span([vec(3, e0=1)], [vec(3, e1=1)])
+        coordinates_in_span([vec(e0=1)], [vec(e1=1)], 3)
 
 
 def test_coordinates_reject_dependent_basis():
-    v = vec(3, e0=1)
+    v = vec(e0=1)
     with pytest.raises(NonUniqueSolutionError):
-        coordinates_in_span([v, v.scaled(2)], [v])
+        coordinates_in_span([v, vec(e0=2)], [v], 3)
 
 
 # --- rank modulo a prime as an independent oracle ----------------------------------
@@ -241,7 +248,7 @@ def modular_rank(vectors, prime, dimension):
     # dense Gaussian elimination over Z/prime, sharing no code with linalg
     rows = [
         [c.numerator * pow(c.denominator, -1, prime) % prime
-         for c in (v.get(j) for j in range(dimension))]
+         for c in (get(v, j) for j in range(dimension))]
         for v in vectors
     ]
     rank_count = 0
@@ -274,7 +281,7 @@ def test_modular_rank_matches_exact_on_small_integers(matrix):
 def test_modular_rank_calibrates_on_twisted_spans(n, params):
     # the exact twisted span must have the rank that elimination modulo a
     # large prime finds on the same generator vectors
-    vectors = generator_vectors(n, params, twisted=True)
+    vectors = [v.entries for v in generator_vectors(n, params, twisted=True)]
     order = symmetric_group(n).order
     assert modular_rank(vectors, PRIME, order) == twisted_commutator_span(n, params).dim
 
@@ -312,15 +319,8 @@ def dense_matrices(cols, max_rows=7):
     )
 
 
-def sparse_rows(matrix, cols):
-    return [
-        SparseVector(cols, {j: Fraction(x) for j, x in enumerate(row) if x})
-        for row in matrix
-    ]
-
-
 def dense(vectors, cols):
-    return [[v.get(j) for j in range(cols)] for v in vectors]
+    return [[get(v.entries, j) for j in range(cols)] for v in vectors]
 
 
 def dense_nullspace(matrix, cols):
@@ -382,7 +382,7 @@ def watched_echelon():
 @settings(max_examples=150, deadline=None)
 def test_span_and_nullspace_match_dense_oracle_under_shuffle(system, rnd):
     cols, matrix = system
-    vectors = sparse_rows(matrix, cols)
+    vectors = to_sparse(matrix)
     rnd.shuffle(vectors)
     with watched_echelon() as inserts:
         space = span(vectors, cols)
@@ -398,21 +398,25 @@ def test_span_and_nullspace_match_dense_oracle_under_shuffle(system, rnd):
     lambda cols: st.tuples(st.just(cols), dense_matrices(cols))))
 @settings(max_examples=150, deadline=None)
 def test_dict_rows_match_sparse_vector_rows(system):
-    # the kernel's row form: a one-shot generator of dicts of nonzero int or
-    # Fraction entries, which must give the same canonical results as the
-    # same rows wrapped in SparseVectors
+    # the kernel's row form, dicts of nonzero entries: rows with every
+    # integral entry an int, the same rows all Fractions, and a one-shot
+    # generator of them give the same canonical results
     cols, matrix = system
-    vectors = sparse_rows(matrix, cols)
+    ints = [
+        {j: int(x) if x.denominator == 1 else x for j, x in enumerate(map(Fraction, row)) if x}
+        for row in matrix
+    ]
+    fractions = to_sparse(matrix)
 
-    def dict_rows():
-        return ({j: x for j, x in enumerate(row) if x} for row in matrix)
+    def once():
+        return (dict(row) for row in ints)
 
     with watched_echelon():
-        space = span(dict_rows(), cols)
-        null = nullspace(dict_rows(), cols)
-        assert space == span(vectors, cols)
-        assert null == nullspace(vectors, cols)
-        assert rank(dict_rows(), cols) == space.dim
+        space = span(ints, cols)
+        null = nullspace(ints, cols)
+        assert span(fractions, cols) == span(once(), cols) == space
+        assert nullspace(fractions, cols) == nullspace(once(), cols) == null
+        assert rank(ints, cols) == rank(fractions, cols) == rank(once(), cols) == space.dim
     for b in space.basis + null.basis:
         assert_fractions(b.entries.values())
 
@@ -450,21 +454,21 @@ def test_echelon_leaves_its_input_rows_unchanged(system):
 @settings(max_examples=150, deadline=None)
 def test_solve_affine_matches_dense_oracle(system, rnd):
     cols, unknowns, constraints, values = system
-    basis = sparse_rows(unknowns, cols)
-    pairs = list(zip(sparse_rows(constraints, cols), map(Fraction, values)))
+    basis = to_sparse(unknowns)
+    pairs = list(zip(to_sparse(constraints), map(Fraction, values)))
     rnd.shuffle(pairs)
     k = len(basis)
-    augmented = [[c.dot(u) for u in basis] + [value] for c, value in pairs]
+    augmented = [[dot(c, u) for u in basis] + [value] for c, value in pairs]
     reduced = dense_rref(augmented, k + 1)
     with watched_echelon():
         if any(row[k] and not any(row[:k]) for row in reduced):
             with pytest.raises(NoSolutionError):
-                solve_affine(pairs, basis)
+                solve_affine(pairs, basis, cols)
         elif len(reduced) < k:
             with pytest.raises(NonUniqueSolutionError):
-                solve_affine(pairs, basis)
+                solve_affine(pairs, basis, cols)
         else:
-            x = solve_affine(pairs, basis)
+            x = solve_affine(pairs, basis, cols)
             want = [sum((row[k] * u[j] for row, u in zip(reduced, unknowns)), Fraction(0))
                     for j in range(cols)]
             assert dense([x], cols) == [want]
@@ -481,17 +485,17 @@ def test_solve_affine_matches_dense_oracle(system, rnd):
 def test_coordinates_in_span_match_dense_oracle(system, rnd):
     cols, matrix, coeffs = system
     rnd.shuffle(matrix)
-    basis = sparse_rows(matrix, cols)
+    basis = to_sparse(matrix)
     coeffs = [Fraction(c) for c in coeffs[: len(basis)]]
-    target = SparseVector(cols, {
-        j: sum((c * Fraction(row[j]) for c, row in zip(coeffs, matrix)), Fraction(0))
-        for j in range(cols)
-    })
+    target = {
+        j: x for j in range(cols)
+        if (x := sum((c * Fraction(row[j]) for c, row in zip(coeffs, matrix)), Fraction(0)))
+    }
     with watched_echelon():
         if dense_rank_oracle(matrix) < len(basis):
             with pytest.raises(NonUniqueSolutionError):
-                coordinates_in_span(basis, [target])
+                coordinates_in_span(basis, [target], cols)
         else:
-            (got,) = coordinates_in_span(basis, [target])
+            (got,) = coordinates_in_span(basis, [target], cols)
             assert got == coeffs
             assert_fractions(got)
