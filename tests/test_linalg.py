@@ -66,6 +66,14 @@ def to_sparse(matrix):
     return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
 
 
+def int_rows(matrix):
+    # the same rows with every integral entry an int
+    return [
+        {j: int(x) if x.denominator == 1 else x for j, x in enumerate(map(Fraction, row)) if x}
+        for row in matrix
+    ]
+
+
 # --- rationals ----------------------------------------------------------------
 
 
@@ -402,10 +410,7 @@ def test_dict_rows_match_sparse_vector_rows(system):
     # integral entry an int, the same rows all Fractions, and a one-shot
     # generator of them give the same canonical results
     cols, matrix = system
-    ints = [
-        {j: int(x) if x.denominator == 1 else x for j, x in enumerate(map(Fraction, row)) if x}
-        for row in matrix
-    ]
+    ints = int_rows(matrix)
     fractions = to_sparse(matrix)
 
     def once():
@@ -429,10 +434,7 @@ def test_echelon_leaves_its_input_rows_unchanged(system):
     # what it works on: that must be a copy, never the caller's dict.
     # Integral entries are given as ints, so that many rows take that path.
     cols, matrix = system
-    rows = [
-        {j: int(x) if x.denominator == 1 else x for j, x in enumerate(map(Fraction, row)) if x}
-        for row in matrix
-    ]
+    rows = int_rows(matrix)
     ech = linalg._Echelon(cols)
     for row in rows:
         before = dict(row)
