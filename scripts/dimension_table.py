@@ -25,7 +25,7 @@ ALGEBRAS = [("nilcoxeter", NILCOXETER), ("0-hecke", ZERO_HECKE), ("group", GROUP
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5,
-                        help="largest number of strands (default 5; 6 takes seconds)")
+                        help="largest number of strands (default 5; 7 takes about a second)")
     args = parser.parse_args(argv)
 
     failed = False

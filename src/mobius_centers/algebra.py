@@ -396,12 +396,12 @@ def _product_terms(
 ) -> Iterator[tuple[tuple[int, int | Fraction], ...]]:
     """The terms of each product whose moved index is ``row[k]``, for k in
     ``ks``, with ``one`` as the coefficient of an ascent, ``a`` and ``b`` those
-    of a descent.  The rank goes up exactly when the length does (see
-    ``PermTable``)."""
+    of a descent; zero coefficients are dropped.  The rank goes up exactly
+    when the length does (see ``PermTable``)."""
     for k in ks:
         m = row[k]
         if m > k:
-            yield ((m, one),)
+            yield ((m, one),) if one else ()
         elif a and b:
             yield ((k, a), (m, b))
         elif a:
@@ -413,10 +413,14 @@ def _product_terms(
 
 
 def commutator_terms(
-    n: int, params: AlgebraParams, i: int, j: int
+    n: int, params: AlgebraParams, i: int, j: int, transpose: bool = False
 ) -> Iterator[dict[int, int]]:
     """``D * (T_i * T_k - T_k * T_j)`` for each basis index k, the highest
-    first, as a dict of nonzero int coefficients keyed by basis index.
+    first, as a dict of nonzero int coefficients keyed by basis index: the
+    columns of the map ``x -> D * (T_i x - x T_j)``, or its rows with
+    ``transpose``.  Row u of ``x -> T_i x`` is 1 at s_i u and a at u when
+    s_i u < u, and b at s_i u when s_i u > u: the column rule with 1 and b
+    exchanged.  Right multiplication is the same on ``rmul``.
 
     D is ``params.denominator``, so that every coefficient is an int; it is 1
     for the presets.  Scaling rows changes neither their span nor their
@@ -429,10 +433,11 @@ def commutator_terms(
     table = symmetric_group(n)
     d = params.denominator
     a, b = int(params.a * d), int(params.b * d)
+    one, b = (b, d) if transpose else (d, b)
     ks = range(table.order - 1, -1, -1)
     for left, right in zip(
-        _product_terms(table.lmul[i - 1], ks, a, b, d),
-        _product_terms(table.rmul[j - 1], ks, a, b, d),
+        _product_terms(table.lmul[i - 1], ks, a, b, one),
+        _product_terms(table.rmul[j - 1], ks, a, b, one),
     ):
         diff = dict(left)
         for u, c in right:

@@ -2,9 +2,11 @@
 Centers and twisted centers as commutants, the explicit Nilcoxeter center
 basis, the trace-dual basis, and the 0-Hecke support report.
 
-The center is cut out by the generator equations T_i z = z T_i (generators
-suffice since they generate the algebra); the twisted center by
-z T_i = T_{n-i} z.  Both are computed as exact nullspaces.
+Two maps carry four systems: the commutator map x -> (T_i x - x T_i)_i and
+the twisted map x -> (T_i x - x T_{n-i})_i.  Their kernels are the center
+(generators suffice since they generate the algebra) and the twisted center,
+computed here as exact nullspaces of the maps' rows; their images are the
+commutator spans of ``quotients``, spanned by the columns.
 
 For the Nilcoxeter algebra the center has a closed-form basis: one element
 per nonzero Mobius class c, the sum of T_{w^{-1} w0} over the members w of
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .algebra import (
     NILCOXETER,
@@ -27,7 +28,6 @@ from .algebra import (
     AlgebraParams,
     _mul_ranks,
     _ranked,
-    commutator_terms,
     element_to_json,
     gram_matrix,
     mul_left_generator,
@@ -44,7 +44,7 @@ from .linalg import (
     nullspace,
 )
 from .perm import Permutation, compose, inverse, longest_element, reduced_word, symmetric_group
-from .quotients import mobius_classes
+from .quotients import _commutator_rows, mobius_classes
 
 __all__ = [
     "CenterBasis",
@@ -64,38 +64,19 @@ __all__ = [
 _ONE = Fraction(1)
 
 
-def _constraint_rows(n: int, params: AlgebraParams, twisted: bool) -> Iterator[dict]:
-    """Rows of the linear system cutting out the (twisted) center, as int
-    dicts scaled by ``params.denominator``.
-
-    Row (i, u) collects, over columns v, the coefficient of T_u in
-    T_i T_v - T_v T_i (plain) or T_v T_i - T_{n-i} T_v (twisted).  These are
-    the transposed generator commutators; the twisted ones are those of
-    generator n - i, negated.  Each generator's rows come by descending u,
-    the order elimination works best on (see ``linalg._Echelon``).
-    """
-    sign = -1 if twisted else 1
-    ks = range(symmetric_group(n).order - 1, -1, -1)
-    for i in range(1, n):
-        rows: dict[int, dict[int, int]] = {}
-        for k, diff in zip(ks, commutator_terms(n, params, n - i if twisted else i, i)):
-            for u, c in diff.items():
-                rows.setdefault(u, {})[k] = sign * c
-        for u in sorted(rows, reverse=True):
-            yield rows[u]
-
-
 @lru_cache(maxsize=None)
 def center(n: int, params: AlgebraParams) -> Subspace:
     """Solutions of T_i z = z T_i for all generators, as a coordinate
     subspace of the n!-dimensional algebra."""
-    return nullspace(_constraint_rows(n, params, twisted=False), symmetric_group(n).order)
+    rows = _commutator_rows(n, params, twisted=False, transpose=True)
+    return nullspace(rows, symmetric_group(n).order)
 
 
 @lru_cache(maxsize=None)
 def twisted_center(n: int, params: AlgebraParams) -> Subspace:
-    """Solutions of z T_i = T_{n-i} z for all generators."""
-    return nullspace(_constraint_rows(n, params, twisted=True), symmetric_group(n).order)
+    """Solutions of T_i z = z T_{n-i} for all generators."""
+    rows = _commutator_rows(n, params, twisted=True, transpose=True)
+    return nullspace(rows, symmetric_group(n).order)
 
 
 def is_central(x: AlgebraElement) -> bool:

@@ -17,7 +17,8 @@ gcd 1, a positive entry at its pivot and none at any other pivot.  A
 division by the pivot entry.
 
 Every entry point takes rows in one format, the kernel's mappings
-``{index: nonzero int | Fraction}``, together with the dimension.
+``{index: nonzero int | Fraction}``, together with the dimension, and
+raises ValueError for a zero entry or an index outside the dimension.
 ``SparseVector`` and ``Subspace`` are output types: every vector and
 subspace returned holds ``Fraction`` entries.
 """
@@ -146,6 +147,10 @@ class _Echelon:
         """The remainder of ``v`` against the basis, as ``(out, den)`` with
         int entries ``out`` and a positive ``den``: remainder = out / den."""
         out, den = _as_ints(v)
+        if out and not 0 <= min(out) <= max(out) < self.dimension:
+            raise ValueError(f"row index outside dimension {self.dimension}")
+        if 0 in out.values():
+            raise ValueError("zero entry in a row")
         rows = self.rows
         for p in [j for j in out if j in rows]:
             c = out.pop(p)
@@ -342,6 +347,8 @@ def coordinates_in_span(
         raise NonUniqueSolutionError("basis vectors are linearly dependent")
     out = []
     for target in targets:
+        if target and not 0 <= min(target) <= max(target) < dimension:
+            raise ValueError(f"target index outside dimension {dimension}")
         red, den = ech.reduce(target)
         if any(j < dimension for j in red):
             raise NoSolutionError("target is outside the span")

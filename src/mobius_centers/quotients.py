@@ -46,11 +46,15 @@ class UnsupportedParamsError(ValueError):
     """The operation is only defined for specific preset algebras."""
 
 
-def _commutator_rows(n: int, params: AlgebraParams, twisted: bool) -> Iterator[dict]:
-    """The rows of ``generator_vectors`` as the kernel's int dicts, scaled by
-    ``params.denominator``, each generator's highest basis index first."""
+def _commutator_rows(
+    n: int, params: AlgebraParams, twisted: bool, transpose: bool = False
+) -> Iterator[dict]:
+    """The nonzero columns of x -> (T_i x - x T_j)_i, j = n - i when twisted
+    and j = i otherwise, or its rows with ``transpose``, as the kernel's int
+    dicts scaled by ``params.denominator``, each generator's highest index
+    first.  The columns span the map's image, the rows cut out its kernel."""
     for i in range(1, n):
-        for diff in commutator_terms(n, params, i, n - i if twisted else i):
+        for diff in commutator_terms(n, params, i, n - i if twisted else i, transpose):
             if diff:
                 yield diff
 

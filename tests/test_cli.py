@@ -403,32 +403,45 @@ def test_output_file_in_missing_directory_is_usage_error(tmp_path, capsys, monke
     assert not target.parent.exists()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-def test_relations_n8_peak_memory():
-    # Products of generators push through the lmul rows directly; a table
-    # of every generator's left terms took this command to 69 MB.  The
-    # child reports VmHWM, the peak of its own address space: its ru_maxrss
-    # would include the resident set of this process, which Linux carries
-    # into a child at exec.
+def child_peak_kb(*argv):
+    """Run the CLI on ``argv`` in a child process; its VmHWM in kB, the peak
+    of its own address space: its ru_maxrss would include the resident set
+    of this process, which Linux carries into a child at exec."""
     code = (
-        "import contextlib, io\n"
+        "import contextlib, io, sys\n"
         "from mobius_centers.cli import main\n"
-        "argv = ['verify', '--suite', 'relations', '--algebra', '0-hecke', '-n', '8']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = main(argv)\n"
+        "    status = main(sys.argv[1:])\n"
         "status_lines = open('/proc/self/status').read().splitlines()\n"
         "peak = next(line.split()[1] for line in status_lines if line.startswith('VmHWM:'))\n"
         "print(status, peak)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     status, peak_kb = map(int, done.stdout.split())
     assert status == 0
+    return peak_kb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_relations_n8_peak_memory():
+    # Products of generators push through the lmul rows directly; a table
+    # of every generator's left terms took this command to 69 MB.
+    peak_kb = child_peak_kb("verify", "--suite", "relations", "--algebra", "0-hecke", "-n", "8")
     assert peak_kb < 50 * 1024, f"peak {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_commutant_n8_peak_memory():
+    # The commutant rows come off the product rule one at a time; gathering
+    # each generator's 40,320 rows into a dict to transpose its columns
+    # took this command to 52 MB.
+    peak_kb = child_peak_kb("dim", "--algebra", "nilcoxeter", "-n", "8")
+    assert peak_kb < 46 * 1024, f"peak {peak_kb / 1024:.1f} MB"
 
 
 # strings with quotes, backslashes, control characters, non-ASCII and

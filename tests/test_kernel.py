@@ -31,7 +31,7 @@ from mobius_centers.algebra import (
     trace,
     zero,
 )
-from mobius_centers.centers import _constraint_rows, dual_center_basis
+from mobius_centers.centers import dual_center_basis
 from mobius_centers.linalg import SparseVector, nullspace, rank, span
 from mobius_centers.perm import reduced_word, symmetric_group
 from mobius_centers.quotients import _commutator_rows, generator_vectors
@@ -58,10 +58,7 @@ def reference_constraint_rows(n, params, twisted):
     for i in range(1, n):
         for k, w in enumerate(table.perms):
             x = basis_element(params, w)
-            if twisted:
-                diff = mul_right_generator(x, i) - mul_left_generator(n - i, x)
-            else:
-                diff = mul_left_generator(i, x) - mul_right_generator(x, i)
+            diff = mul_left_generator(i, x) - mul_right_generator(x, n - i if twisted else i)
             for u, c in element_to_vector(diff).items():
                 rows.setdefault((i, u), {})[k] = c
     return list(rows.values())
@@ -134,7 +131,7 @@ def test_constraint_rows_match_element_products(n, params, twisted):
     # Rows are compared as a multiset: their order within one generator
     # depends only on which entry of a product is listed first.  They come
     # as a one-shot generator of plain dicts, scaled by params.denominator.
-    rows = _constraint_rows(n, params, twisted)
+    rows = _commutator_rows(n, params, twisted, transpose=True)
     assert iter(rows) is rows
     got = list(rows)
     d = params.denominator
@@ -143,14 +140,42 @@ def test_constraint_rows_match_element_products(n, params, twisted):
     assert_kernel_entries(got)
 
 
+@given(sizes, algebras)
+@example(4, PRESETS[0])
+@example(4, PRESETS[1])
+@example(4, PRESETS[2])
+@example(4, AlgebraParams(Fraction(2, 3), Fraction(1, 2)))
+@settings(max_examples=40, deadline=None)
+def test_commutator_terms_match_element_products_for_every_generator_pair(n, params):
+    # The columns of x -> D * (T_i x - x T_j), and with transpose its rows,
+    # each highest index first, for every pair (i, j): the routes use only
+    # j = i and j = n - i.
+    table = symmetric_group(n)
+    d = params.denominator
+    ks = range(table.order - 1, -1, -1)
+    for i in range(1, n):
+        for j in range(1, n):
+            images = [
+                element_to_vector(mul_left_generator(i, x) - mul_right_generator(x, j))
+                for x in (basis_element(params, w) for w in table.perms)
+            ]
+            columns = [{u: d * c for u, c in images[k].items()} for k in ks]
+            rows = [{k: d * images[k][u] for k in ks if u in images[k]} for u in ks]
+            for transpose, want in ((False, columns), (True, rows)):
+                got = list(commutator_terms(n, params, i, j, transpose))
+                assert got == want
+                assert all(type(c) is int and c for row in got for c in row.values())
+
+
 @given(sizes, algebras, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_kernel_rows_are_nonzero_int_dicts(n, params, twisted):
     # the rows elimination takes hold no Fraction, whatever (a, b) is
     order = symmetric_group(n).order
-    rows = list(_constraint_rows(n, params, twisted))
+    rows = list(_commutator_rows(n, params, twisted, transpose=True))
     for i in range(1, n):
-        rows += commutator_terms(n, params, i, n - i if twisted else i)
+        for transpose in (False, True):
+            rows += commutator_terms(n, params, i, n - i if twisted else i, transpose)
     for row in rows:
         assert type(row) is dict
         assert all(type(j) is int and 0 <= j < order for j in row)
@@ -173,7 +198,7 @@ def test_row_order_changes_no_result(n, params, twisted):
     assert space == span([v.entries for v in generator_vectors(n, params, twisted)], order)
     assert rank(rows, order) == rank(rows[::-1], order) == space.dim
     assert nullspace(rows, order) == nullspace(rows[::-1], order)
-    constraints = list(_constraint_rows(n, params, twisted))
+    constraints = list(_commutator_rows(n, params, twisted, transpose=True))
     null = nullspace(constraints, order)
     assert null == nullspace(constraints[::-1], order)
     assert rank(constraints, order) == rank(constraints[::-1], order) == order - null.dim

@@ -105,8 +105,8 @@ def test_rank_examples():
 
 
 def test_span_dimension_mismatch():
-    # rows go in unchecked; an index outside the dimension is refused by the
-    # SparseVector that span returns it in
+    # an index outside the dimension is refused where the row enters the
+    # echelon
     with pytest.raises(ValueError, match="outside dimension"):
         span([vec(e0=1), vec(e2=1)], 2)
 
@@ -117,6 +117,32 @@ def test_sparse_vector_of_wrong_dimension_is_refused(op):
     # read as a row
     with pytest.raises(AttributeError):
         op([{0: 1}, SparseVector(3, {0: 1})], 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank([{0: 0}], 3), "zero entry"),
+        (lambda: rank([{0: 1}, {0: 2, 1: 0}], 3), "zero entry"),
+        (lambda: rank([{0: Fraction(0)}], 3), "zero entry"),
+        (lambda: rank([{5: 1}], 3), "outside dimension 3"),
+        (lambda: rank([{-1: 1}], 3), "outside dimension 3"),
+        (lambda: nullspace([{0: 1, 5: 1}], 3), "outside dimension 3"),
+        (lambda: span([{3: Fraction(1, 2)}], 3), "outside dimension 3"),
+        # index 3 lies in the tail columns the elimination appends
+        (lambda: coordinates_in_span([{0: 1}], [{3: 1}], 3), "outside dimension 3"),
+        (lambda: coordinates_in_span([{0: 1}], [{-1: 1}], 3), "outside dimension 3"),
+        (lambda: coordinates_in_span([{0: 1}], [{0: 1, 1: 0}], 3), "zero entry"),
+    ],
+    ids=[
+        "zero-row", "zero-entry", "zero-fraction", "index-above", "index-negative",
+        "nullspace-index", "span-index", "target-in-tail", "target-negative", "target-zero",
+    ],
+)
+def test_malformed_rows_are_refused(call, message):
+    # every entry point checks each row where it enters the echelon
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_nc3_twisted_generators_have_rank_three():
