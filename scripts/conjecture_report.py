@@ -13,12 +13,12 @@ from pathlib import Path
 from mobius_centers.centers import conjecture_report_to_json, verify_hn_conjecture
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5)
     parser.add_argument("--reports-dir", type=Path,
                         default=Path(__file__).resolve().parent.parent / "reports")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     args.reports_dir.mkdir(exist_ok=True)
     for n in range(2, args.max_n + 1):

@@ -10,9 +10,9 @@ commutator spans of ``quotients``, spanned by the columns.
 
 For the Nilcoxeter algebra the center has a closed-form basis: one element
 per nonzero Mobius class c, the sum of T_{w^{-1} w0} over the members w of
-c.  The trace-dual element of a class c solves the full system
-trace(T_w * z) = 1 for w in c and 0 for every basis element outside c;
-one elimination solves it for every class.
+c, read off by rank.  The trace-dual element of a class c solves
+trace(T_w * z) = 1 for w in c and 0 for every basis element outside c; one
+``coordinates_in_span`` call solves it for every class.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .linalg import (
     format_rational,
     nullspace,
 )
-from .perm import Permutation, compose, inverse, longest_element, reduced_word, symmetric_group
+from .perm import Permutation, reduced_word, symmetric_group
 from .quotients import _commutator_rows, mobius_classes
 
 __all__ = [
@@ -106,13 +106,15 @@ def nc_center_basis(n: int) -> CenterBasis:
     complements T_{w^{-1} w0} of its members.
 
     Each element is homogeneous of degree n(n-1)/2 minus the common length
-    of the class members.
+    of the class members.  Since w0 o w reverses the lexicographic rank,
+    w^{-1} w0 = (w0 o w)^{-1} has rank inv[n! - 1 - rank(w)].
     """
     classes = mobius_classes(n, NILCOXETER)
-    w0 = longest_element(n)
+    table = symmetric_group(n)
+    complement = [table.perms[k] for k in reversed(table.inv)]
     elements = tuple(
-        AlgebraElement(n, NILCOXETER, {compose(inverse(w), w0): _ONE for w in members})
-        for members in classes.classes
+        AlgebraElement(n, NILCOXETER, {complement[u]: _ONE for u in ranks})
+        for ranks in classes.member_ranks
     )
     return CenterBasis(n, NILCOXETER, classes.representatives, elements)
 
@@ -128,16 +130,12 @@ def dual_center_basis(n: int, params: AlgebraParams) -> CenterBasis:
     """For each nonzero class c, the unique central element pairing to 1
     with every member of c and to 0 with every basis element outside c.
 
-    All m classes are solved by one elimination.  With the k center basis
-    vectors Z_j scaled to primitive ints, row u of the system is -1 in the
-    column of u's class and ``trace(T_u * Z_j)`` in column m + j.  A
-    nullvector (t, x) is then a central element ``sum x_j Z_j`` whose
-    pairings are ``t_l`` on class l, so the dual element of class l is read
-    off the nullspace basis vector with pivot l.  Every class has a unique
-    solution exactly when the pivots are 0..m-1: a class l missing from
-    them has none, since every vector of the nullspace leads at a pivot,
-    and a pivot beyond m is a central element pairing to 0 with every
-    basis element.
+    With the k center basis vectors Z_j scaled to primitive ints, column j
+    is ``trace(T_u * Z_j)`` over the basis elements u.  The dual element of
+    class l is ``sum x_j Z_j``, with x the coordinates of the class's
+    indicator in the span of the columns, found for every class by one
+    ``coordinates_in_span`` call.  It is unique exactly when the columns are
+    independent, and exists exactly when the indicator lies in their span.
 
     A solve failure would contradict the duality between the center and the
     band quotient, so it aborts with diagnostics rather than degrade.
@@ -148,41 +146,36 @@ def dual_center_basis(n: int, params: AlgebraParams) -> CenterBasis:
         )
     classes = mobius_classes(n, params)
     reps = classes.representatives
-    m = len(reps)
+    table = symmetric_group(n)
     central = [_as_ints(z.entries)[0] for z in center(n, params).basis]
-    class_of = {u: l for l, ranks in enumerate(classes.member_ranks) for u in ranks}
-    rows = []
+    columns = [{} for _ in central]
     for u, gram_row in enumerate(_gram(n, params)):
-        row = {class_of[u]: -1} if u in class_of else {}
-        for j, z in enumerate(central, start=m):
+        for column, z in zip(columns, central):
             if pairing := sum(gram_row[v] * c for v, c in z.items()):
-                row[j] = pairing
-        rows.append(row)
-    space = nullspace(rows, m + len(central))
+                column[u] = pairing
+    l = 0  # the class being solved; dependent columns fail before any is read
 
-    def fail(error: type[Exception], l: int, reason: str) -> Exception:
-        return error(
+    def indicators():
+        nonlocal l
+        for l, ranks in enumerate(classes.member_ranks):
+            yield dict.fromkeys(ranks, 1)
+
+    try:
+        solutions = coordinates_in_span(columns, indicators(), table.order)
+    except (NoSolutionError, NonUniqueSolutionError) as exc:
+        reason = {NoSolutionError: "inconsistent constraint system",
+                  NonUniqueSolutionError: "solution set is positive-dimensional"}[type(exc)]
+        raise type(exc)(
             f"dual element for the class of {reps[l]!r} at n={n}, "
             f"algebra {preset_name(params)}: {reason}"
-        )
-
-    pivots = set(space.pivots)
-    for l in range(m):
-        if l not in pivots:
-            raise fail(NoSolutionError, l, "inconsistent constraint system")
-    if space.dim > m:
-        # every class then has a line of solutions; name the first, as a
-        # class-by-class solve would
-        raise fail(NonUniqueSolutionError, 0, "solution set is positive-dimensional")
-    perms = symmetric_group(n).perms
+        ) from exc
     elements = []
-    for vector in space.basis:
+    for x in solutions:
         terms: dict[int, Fraction] = {}
-        for j, x in vector.entries.items():
-            if j >= m:
-                for v, c in central[j - m].items():
-                    terms[v] = terms.get(v, 0) + x * c
-        elements.append(AlgebraElement(n, params, {perms[v]: c for v, c in terms.items()}))
+        for xj, z in zip(x, central):
+            for v, c in z.items():
+                terms[v] = terms.get(v, 0) + xj * c
+        elements.append(AlgebraElement(n, params, {table.perms[v]: c for v, c in terms.items()}))
     return CenterBasis(n, params, reps, tuple(elements))
 
 

@@ -67,7 +67,7 @@ _MAX_GRAM_ENTRIES = math.factorial(6) ** 2
 # Each command builds a table of one object per permutation, plus what it
 # computes on it: at n = 8 (40,320) `verify --suite relations` peaks at
 # 33 MB of RSS, the Nilcoxeter `basis` and `table` at 40-42 MB, `classes`
-# at 49 MB, `dim` at 52-68 MB and `verify --suite duality` at 73 MB; n = 9
+# at 49 MB, `dim` at 42-63 MB and `verify --suite duality` at 67 MB; n = 9
 # would need nine times as much.
 _MAX_TABLE_ORDER = math.factorial(8)
 
@@ -552,10 +552,13 @@ def main(argv=None) -> int:
         print(f"error: -n must be in 1..{MAX_N}", file=sys.stderr)
         return 2
     try:
-        if args.output and not os.path.isdir(os.path.dirname(args.output) or os.curdir):
+        if args.output:
             # the error open() would raise, before any work is done
-            missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
-            raise UsageError(f"cannot write --output: {missing}")
+            missing = not os.path.isdir(os.path.dirname(args.output) or os.curdir)
+            if missing or os.path.isdir(args.output):
+                code = errno.ENOENT if missing else errno.EISDIR
+                error = OSError(code, os.strerror(code), args.output)
+                raise UsageError(f"cannot write --output: {error}")
         payload, status = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

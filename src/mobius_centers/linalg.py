@@ -235,7 +235,6 @@ class Subspace:
 
     ambient_dimension: int
     basis: tuple[SparseVector, ...]
-    pivots: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -243,15 +242,14 @@ class Subspace:
 
 
 def _subspace_from_echelon(ech: _Echelon) -> Subspace:
-    pivots = tuple(sorted(ech.rows))
     basis = []
-    for p in pivots:
+    for p in sorted(ech.rows):
         row = ech.rows[p]
         lead = row[p]
         if lead != 1:
             row = {j: Fraction(c, lead) for j, c in row.items()}
         basis.append(SparseVector(ech.dimension, row))
-    return Subspace(ech.dimension, tuple(basis), pivots)
+    return Subspace(ech.dimension, tuple(basis))
 
 
 def _echelon(vectors: Iterable[_Row], dimension: int) -> _Echelon:
@@ -275,16 +273,18 @@ def rank(vectors: Iterable[_Row], dimension: int) -> int:
 def nullspace(vectors: Iterable[_Row], dimension: int) -> Subspace:
     """The space of x with ``row . x = 0`` for every input row."""
     ech = _echelon(vectors, dimension)
-    raw = []
-    for f in range(dimension):
-        if f in ech.rows:
-            continue
-        vec = {f: 1}
-        for p in ech.occurs.get(f, ()):
-            row = ech.rows[p]
-            vec[p] = -Fraction(row[f], row[p])
-        raw.append(vec)
-    return span(raw, dimension)
+
+    def raw():
+        for f in range(dimension):
+            if f in ech.rows:
+                continue
+            vec = {f: 1}
+            for p in ech.occurs.get(f, ()):
+                row = ech.rows[p]
+                vec[p] = -Fraction(row[f], row[p])
+            yield vec
+
+    return span(raw(), dimension)
 
 
 def solve_affine(

@@ -137,7 +137,8 @@ class MobiusClasses:
 
     @property
     def representatives(self) -> tuple[Permutation, ...]:
-        return tuple(m[0] for m in self.members)
+        perms = symmetric_group(self.n).perms
+        return tuple(perms[ranks[0]] for ranks in self.member_ranks)
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from mobius_centers.algebra import (
     NILCOXETER,
     ZERO_HECKE,
     basis_element,
+    gram_matrix,
     mul,
     parse_algebra,
     trace,
@@ -309,6 +310,23 @@ def test_dual_pairing_is_the_class_indicator(n, params):
         for w in symmetric_group(n).perms:
             expected = 1 if w in members else 0
             assert trace(mul(T(params, w), z)) == expected
+
+
+@pytest.mark.parametrize("params", [NILCOXETER, ZERO_HECKE], ids=["nilcoxeter", "0-hecke"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_dual_pairing_off_the_gram_matrix_is_the_class_indicator(n, params):
+    # beyond n = 4 the pairing trace(T_u * z) is read off row u of the Gram
+    # matrix rather than made by mul
+    classes = mobius_classes(n, params)
+    dual = dual_center_basis(n, params)
+    gram = gram_matrix(n, params)
+    for ranks, z in zip(classes.member_ranks, dual.elements):
+        assert is_central(z)
+        coords = element_to_vector(z)
+        members = set(ranks)
+        assert [sum(row[v] * c for v, c in coords.items()) for row in gram] == [
+            1 if u in members else 0 for u in range(len(gram))
+        ]
 
 
 def test_dual_basis_on_one_strand():

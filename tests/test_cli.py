@@ -403,6 +403,22 @@ def test_output_file_in_missing_directory_is_usage_error(tmp_path, capsys, monke
     assert not target.parent.exists()
 
 
+def test_output_naming_a_directory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def fail(args):
+        raise AssertionError("the command ran before --output was checked")
+
+    monkeypatch.setitem(cli._COMMANDS, "dim", fail)
+    status, out, err = run(
+        capsys, "dim", "--algebra", "1,1", "-n", "3", "--output", str(tmp_path),
+    )
+    with pytest.raises(IsADirectoryError) as opened:
+        open(tmp_path, "w", encoding="utf-8")
+    assert status == 2
+    assert out == ""
+    # the message open() itself gives
+    assert err == f"error: cannot write --output: {opened.value}\n"
+
+
 def child_peak_kb(*argv):
     """Run the CLI on ``argv`` in a child process; its VmHWM in kB, the peak
     of its own address space: its ru_maxrss would include the resident set

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+REPORTS = ROOT / "reports"
 
 
 def load_script(name):
@@ -29,3 +31,12 @@ def test_dimension_table_fails_on_a_disagreement(capsys, monkeypatch, name, mark
     monkeypatch.setattr(table, name, lambda *args, **kwargs: original(*args, **kwargs) + 1)
     assert table.main(["--max-n", "3"]) == 1
     assert marker in capsys.readouterr().out
+
+
+def test_conjecture_report_reproduces_the_archived_reports(tmp_path, capsys):
+    report = load_script("conjecture_report")
+    report.main(["--max-n", "5", "--reports-dir", str(tmp_path)])
+    archived = sorted(path.name for path in REPORTS.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == archived
+    for name in archived:
+        assert (tmp_path / name).read_bytes() == (REPORTS / name).read_bytes(), name
