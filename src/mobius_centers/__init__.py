@@ -44,13 +44,10 @@ from .partitions import PartitionStats, center_dim_formula, expected_class_count
 from .perm import (
     Permutation,
     Word,
-    compose,
     conjugate_by_w0,
     evaluate,
     generator,
     identity,
-    inverse,
-    left_descent,
     longest_element,
     reduced_word,
 )

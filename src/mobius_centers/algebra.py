@@ -269,8 +269,9 @@ def _ranked(x: AlgebraElement) -> dict:
 def _mul_ranks(table, params: AlgebraParams, x: dict, y: dict) -> dict:
     """The product of two elements given as ``{index: coeff}``.
 
-    The greedy reduced words form a tree (see ``PermTable.words``): the
-    word of k is its smallest left descent d, the first d with
+    The greedy reduced words form a tree (see
+    ``PermTable.reduced_words``): the word of k is its smallest left
+    descent d, the first d with
     ``lmul[d-1][k] < k``, followed by the word of ``lmul[d-1][k]``, so
     ``T_k * y = T_d * (T_{lmul[d-1][k]} * y)``.  ``prefixes`` holds
     ``T_k * y`` for every k reached so far, starting from the identity.
@@ -338,7 +339,7 @@ def gram_matrix(n: int, params: AlgebraParams) -> list[list[int | Fraction]]:
     """
     table = symmetric_group(n)
     a, b = _integral(params.a), _integral(params.b)
-    ranks = table.index.values()  # 0, 1, ... as the ints the table holds
+    ranks = table.ranks  # 0, 1, ... as the ints the table holds
     first = [0] * table.order  # index 0 is the identity
     first[table.w0] = 1
     rows = [first]
@@ -472,7 +473,7 @@ def single_term_actions(
     if params == GROUP_ALGEBRA:
         return table.lmul, table.rmul
     descent_to_k = params == ZERO_HECKE
-    ranks = table.index.values()  # 0, 1, ... as the ints the table holds
+    ranks = table.ranks  # 0, 1, ... as the ints the table holds
     return tuple(
         tuple(
             tuple([m if m > k else k if descent_to_k else -1 for k, m in zip(ranks, row)])

@@ -42,6 +42,7 @@ from .linalg import (
     coordinates_in_span,
     format_rational,
     nullspace,
+    rank,
 )
 from .perm import Permutation, reduced_word, symmetric_group
 from .quotients import _commutator_rows, mobius_classes
@@ -49,6 +50,7 @@ from .quotients import _commutator_rows, mobius_classes
 __all__ = [
     "CenterBasis",
     "center",
+    "center_dim",
     "twisted_center",
     "nc_center_basis",
     "dual_center_basis",
@@ -70,6 +72,13 @@ def center(n: int, params: AlgebraParams) -> Subspace:
     subspace of the n!-dimensional algebra."""
     rows = _commutator_rows(n, params, twisted=False, transpose=True)
     return nullspace(rows, symmetric_group(n).order)
+
+
+def center_dim(n: int, params: AlgebraParams) -> int:
+    """``center(n, params).dim`` with no basis built: n! minus the rank of
+    the same rows, which is the nullspace's count of free columns."""
+    order = symmetric_group(n).order
+    return order - rank(_commutator_rows(n, params, twisted=False, transpose=True), order)
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,7 @@ from .algebra import (
 )
 from .centers import (
     center,
+    center_dim,
     conjecture_report_to_json,
     dual_center_basis,
     multiplication_table,
@@ -66,9 +67,9 @@ _MAX_GRAM_ENTRIES = math.factorial(6) ** 2
 
 # Each command builds a table of one object per permutation, plus what it
 # computes on it: at n = 8 (40,320) `verify --suite relations` peaks at
-# 33 MB of RSS, the Nilcoxeter `basis` and `table` at 40-42 MB, `classes`
-# at 49 MB, `dim` at 42-63 MB and `verify --suite duality` at 67 MB; n = 9
-# would need nine times as much.
+# 31 MB of RSS, the Nilcoxeter `basis` at 34 MB, `classes` at 34 MB, `dim`
+# at 36-48 MB and `verify --suite duality` at 61 MB; n = 9 would need nine
+# times as much.
 _MAX_TABLE_ORDER = math.factorial(8)
 
 
@@ -125,7 +126,7 @@ def _cmd_dim(args) -> tuple[dict, int]:
         "formula_applies": formula_applies,
     }
     rank_route = quotient_dim(n, params, twisted=True)
-    commutant_route = center(n, params).dim
+    commutant_route = center_dim(n, params)
     agree = rank_route == commutant_route and (not formula_applies or formula == rank_route)
     payload.update(
         {

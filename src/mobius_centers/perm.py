@@ -3,13 +3,13 @@ Permutations of {1..n} in one-line notation.
 
 Conventions, fixed once and used everywhere downstream:
 
-- ``compose(u, v)`` is the function composition ``(u o v)(x) = u(v(x))``.
+- ``u o v`` is the function composition ``(u o v)(x) = u(v(x))``.
 - ``s_i`` is the transposition swapping the *values* i and i+1.  Hence left
   multiplication by ``s_i`` swaps values in the one-line word and right
   multiplication swaps positions i and i+1.
 - ``length(w)`` is the inversion count of the one-line word.
 
->>> compose(generator(3, 1), generator(3, 2)).image
+>>> swap_values(generator(3, 2), 1).image
 (2, 3, 1)
 >>> reduced_word(longest_element(3))
 (1, 2, 1)
@@ -31,9 +31,6 @@ __all__ = [
     "identity",
     "generator",
     "longest_element",
-    "compose",
-    "inverse",
-    "left_descent",
     "evaluate",
     "reduced_word",
     "conjugate_by_w0",
@@ -108,21 +105,6 @@ def longest_element(n: int) -> Permutation:
     return Permutation(tuple(range(n, 0, -1)))
 
 
-def compose(u: Permutation, v: Permutation) -> Permutation:
-    """Function composition ``(u o v)(x) = u(v(x))``."""
-    if u.n != v.n:
-        raise ValueError(f"size mismatch: {u.n} vs {v.n}")
-    ui = u.image
-    return Permutation(tuple(ui[x - 1] for x in v.image))
-
-
-def inverse(w: Permutation) -> Permutation:
-    image = [0] * w.n
-    for p, q in enumerate(w.image, start=1):
-        image[q - 1] = p
-    return Permutation(tuple(image))
-
-
 def swap_values(w: Permutation, i: int) -> Permutation:
     """``s_i o w``: the one-line word with values i and i+1 exchanged."""
     return Permutation(
@@ -135,17 +117,6 @@ def swap_positions(w: Permutation, i: int) -> Permutation:
     image = list(w.image)
     image[i - 1], image[i] = image[i], image[i - 1]
     return Permutation(tuple(image))
-
-
-def left_descent(w: Permutation, i: int) -> bool:
-    """True iff ``length(s_i o w) < length(w)``.
-
-    Equivalent to the value i appearing after the value i+1 in the one-line
-    word, which is what is checked here.
-    """
-    if not 1 <= i <= w.n - 1:
-        raise ValueError(f"generator index must be in 1..{w.n - 1}, got {i}")
-    return w.image.index(i) > w.image.index(i + 1)
 
 
 def evaluate(word: Word, n: int) -> Permutation:
@@ -200,63 +171,77 @@ def conjugate_by_w0(w: Permutation) -> Permutation:
 class PermTable:
     """All of S_n indexed by lexicographic rank of the one-line word.
 
-    ``images[k]`` is the one-line word of rank k, the same tuple object that
-    ``index`` maps back to k.  ``lmul[i-1][k]`` is the index of
-    ``s_i o images[k]`` and ``rmul[i-1][k]`` the index of ``images[k] o s_i``.
-    Every exhaustive computation downstream (spans, commutants, class
-    closures and the class report) runs on these integer tables.
+    With w the permutation of rank k, ``lmul[i-1][k]`` is the rank of
+    ``s_i o w``, ``rmul[i-1][k]`` that of ``w o s_i`` and ``inv[k]`` that of
+    w^-1; every entry is an int of ``ranks``, ``range(n!)``.  Every
+    exhaustive computation downstream (spans, commutants, class closures and
+    the class report) runs on these integer tables.  ``rank`` and ``image``
+    convert through the Lehmer code, the rank's factorial-base digits.
     ``perms``, the validated ``Permutation`` of each rank with its length
-    filled in, is built on first access, for callers that key on
-    permutations.
+    filled in, is built on first access, for callers that key on them.
 
     A generator raises the length exactly when it raises the rank: on a
     descent, swapping the values i+1 and i (left) or the entries at
     positions i and i+1 (right) puts the smaller one first.  So
-    ``lmul[i-1][k] < k`` iff i is a left descent of ``images[k]``.
+    ``lmul[i-1][k] < k`` iff i is a left descent of w.
     """
 
     n: int
-    images: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
+    ranks: tuple[int, ...]
     lengths: tuple[int, ...]
     lmul: tuple[tuple[int, ...], ...]
     rmul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     w0: int
 
-    def rank(self, w: Permutation) -> int:
-        return self.index[w.image]
-
     @property
     def order(self) -> int:
-        return len(self.images)
+        return len(self.ranks)
+
+    def rank(self, w: Permutation) -> int:
+        """The rank of w; Lehmer digit p counts the later entries below entry p."""
+        image = w.image
+        if len(image) != self.n:
+            raise ValueError(f"a permutation of {len(image)} strands is not in S_{self.n}")
+        k = 0
+        for p, q in enumerate(image):
+            k = k * (self.n - p) + sum(1 for r in image[p + 1 :] if r < q)
+        return k
+
+    def image(self, k: int) -> tuple[int, ...]:
+        """The one-line word of rank k, read off its Lehmer digits."""
+        if not 0 <= k < len(self.ranks):
+            raise ValueError(f"rank {k} outside 0..{len(self.ranks) - 1}")
+        left = list(range(1, self.n + 1))
+        out = []
+        for m in range(self.n - 1, -1, -1):
+            digit, k = divmod(k, factorial(m))
+            out.append(left.pop(digit))
+        return tuple(out)
 
     @cached_property
     def perms(self) -> tuple[Permutation, ...]:
-        perms = tuple(map(Permutation, self.images))
+        perms = tuple(map(Permutation, _lex_images(range(1, self.n + 1))))
         for w, length in zip(perms, self.lengths):
             object.__setattr__(w, "length", length)  # fill the cached property
         return perms
 
-    @cached_property
-    def words(self) -> tuple[Word, ...]:
-        """``reduced_word(perms[k])`` for every rank k, built in one pass.
-
-        The first letter of the greedy word is the smallest left descent d,
-        and the rest is the word of ``s_d o images[k]``, whose rank is
-        smaller, so visiting the ranks in order finds it already built.
+    def reduced_words(self) -> list[list[int]]:
+        """``reduced_word(perms[k])`` for every rank k, as new lists.  The
+        first letter is the smallest left descent d, and the rest is the word
+        of ``s_d o w``, whose rank is smaller and so already built.
         """
-        words: list[Word] = [()]
+        words: list[list[int]] = [[]]
         lmul = self.lmul
         for k in range(1, self.order):
             for d, row in enumerate(lmul, start=1):
                 if row[k] < k:
                     break
-            words.append((d,) + words[row[k]])
-        return tuple(words)
+            words.append([d] + words[row[k]])
+        return words
 
 
-def _rmul_row(n: int, p: int, ranks: list[int]) -> tuple[int, ...]:
+def _rmul_row(n: int, p: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
     """The ranks of ``w o s_{p+1}`` for every rank of w, in rank order.
 
     Swapping the entries at positions p and p+1 (0-based) changes only the
@@ -282,31 +267,36 @@ def _rmul_row(n: int, p: int, ranks: list[int]) -> tuple[int, ...]:
 def symmetric_group(n: int) -> PermTable:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"number of strands must be in 1..{MAX_N}, got {n}")
-    images = tuple(_lex_images(range(1, n + 1)))
-    ranks = list(range(len(images)))
-    index = dict(zip(images, ranks))
+    ranks = tuple(range(factorial(n)))
     # The lexicographic rank written in the factorial base is the Lehmer
     # code, whose digit sum is the inversion count.
     lengths = tuple(map(sum, product(*(range(m) for m in range(n, 0, -1)))))
-    inv = []
-    for img in images:
-        image = [0] * n
-        for p, q in enumerate(img, start=1):
-            image[q - 1] = p
-        inv.append(index[tuple(image)])
     # w o s_i swaps the entries at positions i and i+1 (0-based p = i-1).
     rmul = tuple(_rmul_row(n, p, ranks) for p in range(n - 1))
-    # s_i o w is the inverse of w^{-1} o s_i.
-    lmul = tuple(tuple(inv[row[j]] for j in inv) for row in rmul)
+    # Every k > 0 has a right descent j, u = rmul[j][k] < k, so s_i k =
+    # (s_i u) s_j; and a left descent i, v = lmul[i][k] < k, so k^-1 = v^-1 s_i.
+    lmul = [[row[0]] * len(ranks) for row in rmul]
+    inv = [0] * len(ranks)
+    for k in range(1, len(ranks)):
+        for row in rmul:
+            if (u := row[k]) < k:
+                break
+        for out in lmul:
+            out[k] = row[out[u]]
+        for out, row in zip(lmul, rmul):
+            if (v := out[k]) < k:
+                break
+        inv[k] = row[inv[v]]
+    for i, out in enumerate(lmul):  # one row's list at a time is held twice
+        lmul[i] = tuple(out)
     return PermTable(
         n=n,
-        images=images,
-        index=index,
+        ranks=ranks,
         lengths=lengths,
-        lmul=lmul,
+        lmul=tuple(lmul),
         rmul=rmul,
         inv=tuple(inv),
-        w0=index[longest_element(n).image],
+        w0=ranks[-1],
     )
 
 

@@ -172,6 +172,9 @@ def mobius_classes(n: int, params: AlgebraParams) -> MobiusClasses:
                 while parent[y] != y:
                     parent[y] = y = parent[parent[y]]
                 parent[x] = y
+    # Free the action tables before grouping: the groups would otherwise be
+    # allocated above them on the heap and keep their pages resident.
+    del left, right
 
     # Visit the ranks by (length, rank), which is the (length, one-line
     # word) order: each group then lists its representative first, and the
@@ -272,21 +275,19 @@ def classes_to_json(classes: MobiusClasses) -> dict:
     where they are constant per class."""
     is_nc = classes.params == NILCOXETER
     table = symmetric_group(classes.n)
-    words = table.words
+    # The payload holds each word list itself, the representative's twice.
+    word = table.reduced_words().__getitem__
     out = []
     for ranks in classes.member_ranks:
         rep = ranks[0]
-        entry = {
-            "representative": list(words[rep]),
-            "members": list(map(list, map(words.__getitem__, ranks))),
-        }
+        entry = {"representative": word(rep), "members": list(map(word, ranks))}
         if is_nc:
-            entry["cycle_type"] = list(_band_cycle_type(table.images[rep]))
+            entry["cycle_type"] = list(_band_cycle_type(table.image(rep)))
             entry["length"] = table.lengths[rep]
         out.append(entry)
     return {
         "n": classes.n,
         "algebra": preset_name(classes.params) or "custom",
         "classes": out,
-        "zero_class": list(map(list, map(words.__getitem__, classes.zero_ranks))),
+        "zero_class": list(map(word, classes.zero_ranks)),
     }

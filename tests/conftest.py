@@ -41,3 +41,28 @@ def vector_to_element(v, n: int, params: AlgebraParams) -> AlgebraElement:
     """The element with coordinates ``v``, a mapping ``{rank: coefficient}``."""
     perms = symmetric_group(n).perms
     return AlgebraElement(n, params, {perms[k]: c for k, c in v.items()})
+
+
+# Reference operations on Permutations, the oracles for the rank tables.
+
+
+def compose(u: Permutation, v: Permutation) -> Permutation:
+    """Function composition ``(u o v)(x) = u(v(x))``."""
+    if u.n != v.n:
+        raise ValueError(f"size mismatch: {u.n} vs {v.n}")
+    return Permutation(tuple(u.image[x - 1] for x in v.image))
+
+
+def inverse(w: Permutation) -> Permutation:
+    image = [0] * w.n
+    for p, q in enumerate(w.image, start=1):
+        image[q - 1] = p
+    return Permutation(tuple(image))
+
+
+def left_descent(w: Permutation, i: int) -> bool:
+    """True iff the value i comes after the value i+1 in the one-line word,
+    which is when ``length(s_i o w) < length(w)``."""
+    if not 1 <= i <= w.n - 1:
+        raise ValueError(f"generator index must be in 1..{w.n - 1}, got {i}")
+    return w.image.index(i) > w.image.index(i + 1)

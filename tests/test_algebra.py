@@ -6,7 +6,15 @@ import jsonschema
 import pytest
 from hypothesis import given, settings
 
-from conftest import PRESETS, PRESET_IDS, element_to_vector, perms_sharing_n, vector_to_element
+from conftest import (
+    PRESETS,
+    PRESET_IDS,
+    compose,
+    element_to_vector,
+    inverse,
+    perms_sharing_n,
+    vector_to_element,
+)
 from mobius_centers.algebra import (
     ELEMENT_SCHEMA,
     GROUP_ALGEBRA,
@@ -30,11 +38,9 @@ from mobius_centers.algebra import (
 )
 from mobius_centers.linalg import rank
 from mobius_centers.perm import (
-    compose,
     evaluate,
     generator,
     identity,
-    inverse,
     longest_element,
     symmetric_group,
 )

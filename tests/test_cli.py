@@ -460,6 +460,29 @@ def test_commutant_n8_peak_memory():
     assert peak_kb < 46 * 1024, f"peak {peak_kb / 1024:.1f} MB"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_commutant_nullity_n8_peak_memory():
+    # dim counts the commutant's free columns; building the nullspace basis
+    # only to count it took this command to 63 MB.
+    peak_kb = child_peak_kb("dim", "--algebra", "0-hecke", "-n", "8")
+    assert peak_kb < 52 * 1024, f"peak {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_class_report_n8_peak_memory(tmp_path):
+    # The table keeps no one-line words, and the report holds the word lists
+    # themselves; with one-line words and word tuples copied into the report,
+    # this command took 49 MB.  The report goes to a file, not to the
+    # StringIO that would hold its 8.1 MB text.
+    target = tmp_path / "classes.json"
+    peak_kb = child_peak_kb(
+        "classes", "--algebra", "0-hecke", "-n", "8", "--format", "json", "--output", str(target)
+    )
+    assert peak_kb < 40 * 1024, f"peak {peak_kb / 1024:.1f} MB"
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == CLASSES_N8_JSON_SHA256["0-hecke"]
+
+
 # strings with quotes, backslashes, control characters, non-ASCII and
 # astral characters, which json escapes
 json_text = st.text(

@@ -1,19 +1,19 @@
+from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import perms_sharing_n
+from conftest import compose, inverse, left_descent, perms_sharing_n
 from mobius_centers.perm import (
     MAX_N,
     Permutation,
-    compose,
     conjugate_by_w0,
     evaluate,
     generator,
     identity,
-    inverse,
-    left_descent,
     longest_element,
     reduced_word,
     swap_positions,
@@ -233,7 +233,8 @@ def test_generator_length_step_random(perms):
 def assert_table_entries(table, k):
     # every table entry of rank k against the Permutation operations
     w = table.perms[k]
-    assert table.index[w.image] == k
+    assert table.rank(w) == k
+    assert table.image(k) == w.image
     assert table.lengths[k] == naive_inversions(w.image)
     assert table.perms[table.inv[k]] == inverse(w)
     for i in range(1, table.n):
@@ -255,12 +256,21 @@ def test_tables_match_permutation_operations(n):
         assert_table_entries(table, k)
 
 
+@lru_cache(maxsize=None)
+def table_words(n):
+    return symmetric_group(n).reduced_words()
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_table_words_match_reduced_word(n):
     table = symmetric_group(n)
-    assert len(table.words) == table.order
-    for w, word in zip(table.perms, table.words):
-        assert word == reduced_word(w)
+    words = table.reduced_words()
+    assert len(words) == table.order
+    for w, word in zip(table.perms, words):
+        assert type(word) is list
+        assert tuple(word) == reduced_word(w)
+    # every call builds new lists, which a caller may keep or hand out
+    assert all(a is not b for a, b in zip(words, table.reduced_words()))
 
 
 @given(perms_sharing_n(count=1, min_n=8, max_n=8))
@@ -270,15 +280,36 @@ def test_tables_at_n8_match_permutation_operations(perms):
     table = symmetric_group(8)
     k = table.rank(w)
     assert_table_entries(table, k)
-    assert table.words[k] == reduced_word(w) == descent_scan_word(w)
+    assert tuple(table_words(8)[k]) == reduced_word(w) == descent_scan_word(w)
+
+
+@given(st.integers(min_value=0, max_value=factorial(8) - 1))
+def test_rank_and_image_round_trip_at_n8(k):
+    table = symmetric_group(8)
+    image = table.image(k)
+    assert sorted(image) == list(range(1, 9))
+    assert table.rank(Permutation(image)) == k
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_table_images_share_the_index_keys(n):
+    # rank and image against the lexicographic order, for every rank; and
+    # every entry of the tables is the rank int that ``ranks`` holds
     table = symmetric_group(n)
-    assert table.images == tuple(permutations(range(1, n + 1)))
-    assert all(table.index[img] == k for k, img in enumerate(table.images))
-    assert all(key is img for key, img in zip(table.index, table.images))
+    lex = list(permutations(range(1, n + 1)))
+    assert table.ranks == tuple(range(len(lex)))
+    assert table.w0 == table.order - 1 == len(lex) - 1
+    for k, img in enumerate(lex):
+        assert table.image(k) == img
+        assert table.rank(Permutation(img)) == k
+    for row in (*table.lmul, *table.rmul, table.inv):
+        assert all(k is table.ranks[k] for k in row)
+    with pytest.raises(ValueError):
+        table.image(table.order)
+    with pytest.raises(ValueError):
+        table.image(-1)
+    with pytest.raises(ValueError):
+        table.rank(identity(n + 1))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -286,7 +317,7 @@ def test_table_perms_built_on_first_access(n):
     symmetric_group.cache_clear()
     table = symmetric_group(n)
     assert "perms" not in vars(table)
-    assert table.order == len(table.images)
+    assert table.order == factorial(n)
     perms = table.perms
     assert "perms" in vars(table)
     assert perms == tuple(Permutation(img) for img in permutations(range(1, n + 1)))
