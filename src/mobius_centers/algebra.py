@@ -269,9 +269,8 @@ def _ranked(x: AlgebraElement) -> dict:
 def _mul_ranks(table, params: AlgebraParams, x: dict, y: dict) -> dict:
     """The product of two elements given as ``{index: coeff}``.
 
-    The greedy reduced words form a tree (see
-    ``PermTable.reduced_words``): the word of k is its smallest left
-    descent d, the first d with
+    The greedy reduced words form a tree (see ``PermTable.reduced_words``):
+    the word of k is its smallest left descent d, the first d with
     ``lmul[d-1][k] < k``, followed by the word of ``lmul[d-1][k]``, so
     ``T_k * y = T_d * (T_{lmul[d-1][k]} * y)``.  ``prefixes`` holds
     ``T_k * y`` for every k reached so far, starting from the identity.

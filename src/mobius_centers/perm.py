@@ -212,11 +212,11 @@ class PermTable:
         """The one-line word of rank k, read off its Lehmer digits."""
         if not 0 <= k < len(self.ranks):
             raise ValueError(f"rank {k} outside 0..{len(self.ranks) - 1}")
-        left = list(range(1, self.n + 1))
+        unused = list(range(1, self.n + 1))
         out = []
         for m in range(self.n - 1, -1, -1):
             digit, k = divmod(k, factorial(m))
-            out.append(left.pop(digit))
+            out.append(unused.pop(digit))
         return tuple(out)
 
     @cached_property
