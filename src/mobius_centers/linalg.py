@@ -4,7 +4,9 @@ Exact sparse linear algebra over the rationals.
 Ranks, nullspaces and solves are exact: the elimination holds Python ints
 and results leave it as ``fractions.Fraction``s (arbitrary-precision, always
 in lowest terms with positive denominator).  No floating point is used
-anywhere in this module.
+anywhere in this module.  ``rank`` takes rows of at most two entries, the
+presets' constraint rows, by a weighted union-find with int or ``Fraction``
+gains, and hands off to the elimination at the first longer row.
 
 Subspaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal exactly when their stored bases are equal, independent
@@ -265,9 +267,105 @@ def span(vectors: Iterable[_Row], dimension: int) -> Subspace:
     return _subspace_from_echelon(_echelon(vectors, dimension))
 
 
+# parent[v] of a root of the rank forest: a component still free, or one
+# held at 0
+_FREE, _FIXED = -1, -2
+
+
+def _find(parent: list[int], gain: list, v: int) -> tuple[int, Fraction | int]:
+    """The root of v's tree and x_v / x_root, compressing v's path."""
+    path = []
+    while parent[v] >= 0:
+        path.append(v)
+        v = parent[v]
+    g = 1
+    for u in reversed(path):
+        g = gain[u] = gain[u] * g
+        parent[u] = v
+    return v, g
+
+
 def rank(vectors: Iterable[_Row], dimension: int) -> int:
-    """Dimension of the span, with no basis built."""
-    return _echelon(vectors, dimension).dim
+    """Dimension of the span, with no basis built.
+
+    While every row has at most two entries, the rows are the incidence
+    matrix of a signed graph, and a weighted union-find takes their rank
+    without elimination.  On the rows' common nullspace a tied column v has
+    x_v = gain[v] * x_parent[v], an int or a ``Fraction``, and a root is the
+    largest column of its tree.  A one-entry row fixes its component at 0,
+    and so does a two-entry row that closes a cycle whose gains do not
+    match.  Each row that joins two components, or fixes a free one, adds 1
+    to the rank: ``dimension`` minus the number of free components.
+
+    The first longer row hands off to the echelon, seeded with the forest's
+    own basis rows: x_root for every fixed root and x_v - g * x_root for
+    every tied column, each with its own pivot, so the handoff costs only
+    the columns the forest touched.  The echelon takes that row and every
+    later one.
+    """
+    parent = [_FREE] * dimension
+    gain: list[Fraction | int] = [1] * dimension
+    touched = []  # each column that left _FREE, once
+    found = 0
+    rows = iter(vectors)
+    for row in rows:
+        items = row.items()
+        if len(items) > 2:
+            break
+        if not items:
+            continue
+        for j in row:
+            if not 0 <= j < dimension:
+                raise ValueError(f"row index outside dimension {dimension}")
+        if 0 in row.values():
+            raise ValueError("zero entry in a row")
+        if len(items) == 1:
+            ((a, _),) = items
+            root = _find(parent, gain, a)[0] if parent[a] >= 0 else a
+        else:
+            (a, c), (b, d) = items
+            ra, ga = _find(parent, gain, a) if parent[a] >= 0 else (a, 1)
+            rb, gb = _find(parent, gain, b) if parent[b] >= 0 else (b, 1)
+            if ra == rb:
+                # the row is (c * ga + d * gb) * x_root
+                if not c * ga + d * gb:
+                    continue
+                root = ra
+            else:
+                if ra > rb:
+                    ra, rb, c, d, ga, gb = rb, ra, d, c, gb, ga
+                state = parent[ra]
+                if state == parent[rb] == _FIXED:
+                    continue
+                # c * ga * x_ra + d * gb * x_rb = 0 puts ra under rb
+                num, den = -d * gb, c * ga
+                gain[ra] = num // den if not num % den else Fraction(num, den)
+                parent[ra] = rb
+                if state == _FREE:
+                    touched.append(ra)
+                else:
+                    parent[rb] = _FIXED
+                    touched.append(rb)
+                found += 1
+                continue
+        if parent[root] == _FREE:
+            parent[root] = _FIXED
+            touched.append(root)
+            found += 1
+    else:
+        return found
+    ech = _Echelon(dimension)
+    for v in touched:
+        if parent[v] == _FIXED:
+            ech.insert({v: 1})
+    for v in touched:
+        if parent[v] >= 0:
+            root, g = _find(parent, gain, v)
+            ech.insert({v: 1, root: -g})
+    ech.insert(row)
+    for row in rows:
+        ech.insert(row)
+    return ech.dim
 
 
 def nullspace(vectors: Iterable[_Row], dimension: int) -> Subspace:

@@ -95,7 +95,8 @@ def commutator_span(n: int, params: AlgebraParams) -> Subspace:
 
 
 def quotient_dim(n: int, params: AlgebraParams, twisted: bool) -> int:
-    """n! minus the rank of the (twisted) commutator rows; no span is kept."""
+    """n! minus the rank of the (twisted) commutator rows, which for the
+    presets is read off a union-find (see ``linalg.rank``); no span is kept."""
     order = symmetric_group(n).order
     return order - linalg.rank(_commutator_rows(n, params, twisted), order)
 

@@ -25,6 +25,7 @@ from mobius_centers.centers import (
     CONJECTURE_REPORT_SCHEMA,
     CenterBasis,
     center,
+    center_dim,
     conjecture_report_to_json,
     dual_center_basis,
     is_central,
@@ -111,6 +112,9 @@ def test_golden_n8_dimension_by_both_routes(params, want):
     assert want == (len(partitions(8)) if params == GROUP_ALGEBRA else center_dim_formula(8))
     assert quotient_dim(8, params, twisted=True) == want
     assert center(8, params).dim == want
+    # the commutant rows once more, ranked by the union-find rather than
+    # reduced to a nullspace basis
+    assert center_dim(8, params) == want
 
 
 @given(st.integers(min_value=1, max_value=4), algebras)

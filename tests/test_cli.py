@@ -469,6 +469,16 @@ def test_commutant_nullity_n8_peak_memory():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+@pytest.mark.parametrize("algebra", ["nilcoxeter", "0-hecke", "group"])
+def test_dim_n8_peak_memory(algebra):
+    # Both routes rank their rows of at most two entries by a union-find
+    # over the columns they touch, about 25 MB; the echelon of the same
+    # rows took this command to 36-48 MB.
+    peak_kb = child_peak_kb("dim", "--algebra", algebra, "-n", "8")
+    assert peak_kb < 30 * 1024, f"peak {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_class_report_n8_peak_memory(tmp_path):
     # The table keeps no one-line words, and the report holds the word lists
     # themselves: 34.5 MB.  With one-line words and word tuples copied into

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRESETS, PRESET_IDS
-from mobius_centers import linalg
+from mobius_centers import linalg, quotients
 from mobius_centers.linalg import (
     NonUniqueSolutionError,
     NoSolutionError,
@@ -133,14 +133,23 @@ def test_sparse_vector_of_wrong_dimension_is_refused(op):
         (lambda: coordinates_in_span([{0: 1}], [{3: 1}], 3), "outside dimension 3"),
         (lambda: coordinates_in_span([{0: 1}], [{-1: 1}], 3), "outside dimension 3"),
         (lambda: coordinates_in_span([{0: 1}], [{0: 1, 1: 0}], 3), "zero entry"),
+        (lambda: rank([{0: 1, 3: 1}], 3), "outside dimension 3"),
+        # short rows after a longer one, and a longer one after short rows
+        (lambda: rank([{0: 1, 1: 1, 2: 1}, {5: 1}], 3), "outside dimension 3"),
+        (lambda: rank([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 0}], 3), "zero entry"),
+        (lambda: rank([{0: 1}, {0: 1, 1: -1}, {0: 1, 1: 1, 7: 1}], 3), "outside dimension 3"),
+        (lambda: rank([{0: 1}, {1: 1, 2: -1}, {0: 1, 1: 2, 2: 0}], 3), "zero entry"),
     ],
     ids=[
         "zero-row", "zero-entry", "zero-fraction", "index-above", "index-negative",
         "nullspace-index", "span-index", "target-in-tail", "target-negative", "target-zero",
+        "pair-index", "short-index-after-long", "short-zero-after-long",
+        "long-index-after-short", "long-zero-after-short",
     ],
 )
 def test_malformed_rows_are_refused(call, message):
-    # every entry point checks each row where it enters the echelon
+    # every entry point checks each row where it enters the echelon, and
+    # rank checks the rows of at most two entries it takes without one
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -527,3 +536,65 @@ def test_coordinates_in_span_match_dense_oracle(system, rnd):
             (got,) = coordinates_in_span(basis, [target], cols)
             assert got == coeffs
             assert_fractions(got)
+
+
+# --- rank of rows with at most two entries, by the weighted union-find -----------
+
+# +-1 and +-2 close both balanced and unbalanced cycles; Fractions make
+# gains that are not integral, some of them integral Fractions
+short_coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -2]),
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+
+
+def short_rows(cols, max_rows=12):
+    # few columns, so pairs repeat and cycles close; empty and one-entry
+    # rows included
+    return st.lists(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=cols - 1), short_coefficients, max_size=2
+        ),
+        max_size=max_rows,
+    )
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.tuples(st.just(cols), short_rows(cols))))
+@settings(max_examples=300, deadline=None)
+def test_rank_of_short_rows_matches_the_echelon(system):
+    cols, rows = system
+    assert rank(rows, cols) == linalg._echelon(rows, cols).dim
+
+
+@given(st.integers(min_value=3, max_value=6).flatmap(
+    lambda cols: st.tuples(
+        st.just(cols),
+        short_rows(cols),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=cols - 1), short_coefficients, min_size=3
+        ),
+        short_rows(cols, max_rows=6),
+    )))
+@settings(max_examples=300, deadline=None)
+def test_rank_hands_off_at_the_first_longer_row(system):
+    # the echelon starts from the forest's basis rows, then takes the longer
+    # row and every row after it
+    cols, before, longer, after = system
+    rows = [*before, longer, *after]
+    assert rank(rows, cols) == linalg._echelon(rows, cols).dim
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("params", PRESETS, ids=PRESET_IDS)
+def test_rank_of_preset_rows_matches_the_echelon(params, n):
+    # both dimension routes of a preset give rows of at most two entries,
+    # so the union-find ranks them all
+    order = symmetric_group(n).order
+    for rows in (
+        list(quotients._commutator_rows(n, params, twisted=True)),
+        list(quotients._commutator_rows(n, params, twisted=False, transpose=True)),
+    ):
+        assert max(map(len, rows), default=0) <= 2
+        assert rank(rows, order) == linalg._echelon(rows, order).dim
