@@ -472,8 +472,8 @@ def test_commutant_nullity_n8_peak_memory():
 @pytest.mark.parametrize("algebra", ["nilcoxeter", "0-hecke", "group"])
 def test_dim_n8_peak_memory(algebra):
     # Both routes rank their rows of at most two entries by a union-find
-    # over the columns they touch, about 25 MB; the echelon of the same
-    # rows took this command to 36-48 MB.
+    # held in two lists of n! entries: about 25 MB in all.  The echelon of
+    # the same rows took this command to 36-48 MB.
     peak_kb = child_peak_kb("dim", "--algebra", algebra, "-n", "8")
     assert peak_kb < 30 * 1024, f"peak {peak_kb / 1024:.1f} MB"
 

@@ -149,7 +149,7 @@ def test_sparse_vector_of_wrong_dimension_is_refused(op):
 )
 def test_malformed_rows_are_refused(call, message):
     # every entry point checks each row where it enters the echelon, and
-    # rank checks the rows of at most two entries it takes without one
+    # rank checks the short rows its union-find takes in the same way
     with pytest.raises(ValueError, match=message):
         call()
 
