@@ -6,12 +6,15 @@ Usage (from the repository root):
     python3 scripts/bench_pairs.py --workload classes-n8 --base main --pairs 10
 
 The base commit and HEAD are exported with ``git archive`` into a temporary
-directory, so only committed files are measured.  Pair i runs
+directory, so only committed files are measured.  The pairs take the seeds
+``--first-seed`` (1 by default) onwards, so a claim can be re-run on seeds
+it was not developed on.  The pair of seed i runs
 ``perfbench/run.py --workload W --seed i`` once on each checkout, in fresh
 processes; which one runs first alternates from pair to pair, so a drift of
 the host's speed falls on both sides.  For every
 end-to-end metric of BENCHMARK.json the file BENCH_<workload>.json records
-the median and quartiles on each side, and the number of pairs HEAD won.
+the median and quartiles on each side, and the number of pairs HEAD won; a
+tie counts for neither side.
 """
 
 from __future__ import annotations
@@ -53,10 +56,17 @@ def _summary(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def _wins(runs: list[dict], name: str, better: str) -> int:
+    """The pairs in which the change did strictly better on metric name."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (r["change"][name] - r["base"][name]) < 0 for r in runs)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--base", required=True, help="commit to compare HEAD with")
     args = parser.parse_args()
     if args.pairs < 1:
@@ -71,7 +81,7 @@ def main() -> int:
         checkouts = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         for side, commit in (("base", base), ("change", change)):
             _export(commit, checkouts[side])
-        for seed in range(1, args.pairs + 1):
+        for seed in range(args.first_seed, args.first_seed + args.pairs):
             order = ("base", "change") if seed % 2 else ("change", "base")
             run = {"seed": seed, "first": order[0]}
             for side in order:
@@ -83,13 +93,13 @@ def main() -> int:
 
     summary = {}
     for m in metrics:
-        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        name = m["name"]
         summary[name] = {
             "unit": m["unit"],
             "better": m["better"],
             "base": _summary([r["base"][name] for r in runs]),
             "change": _summary([r["change"][name] for r in runs]),
-            "wins": sum(sign * (r["change"][name] - r["base"][name]) < 0 for r in runs),
+            "wins": _wins(runs, name, m["better"]),
         }
     out = {
         "workload": args.workload,

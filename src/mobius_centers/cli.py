@@ -16,6 +16,8 @@ import math
 import os
 import random
 import sys
+from itertools import chain
+from json import JSONEncoder
 from json.encoder import encode_basestring_ascii
 
 from . import linalg
@@ -304,23 +306,29 @@ def _cmd_verify(args) -> tuple[dict, int]:
 # --- rendering ----------------------------------------------------------------
 
 
-# parts per write: a few hundred kB of a class report
-_JSON_CHUNK_PARTS = 4096
+# characters per write: a few hundred kB of a class report
+_JSON_CHUNK_CHARS = 1 << 18
 
 
 def _write_json(payload: dict, handle) -> None:
-    """Write ``json.dumps(payload, indent=2)`` plus a newline, a chunk at a
-    time, so that neither the whole text nor the list of its parts is held.
-    ``json.dumps`` falls back to its pure-Python encoder whenever it indents;
-    this writes the same layout directly, and a list of ints (the bulk of a
-    class report) with one join."""
+    """Write ``json.dumps(payload, indent=2)`` plus a newline, a chunk of
+    about ``_JSON_CHUNK_CHARS`` characters at a time, so that neither the
+    whole text nor the list of its parts is held.  ``json.dumps`` falls back
+    to its pure-Python encoder whenever it indents; this writes the same
+    layout directly, a list of ints with one join and a list of such lists
+    (the word lists of a class report) through the C encoder a slice at a
+    time."""
     parts: list[str] = []
+    size = 0
 
     def emit(part: str) -> None:
+        nonlocal size
         parts.append(part)
-        if len(parts) >= _JSON_CHUNK_PARTS:
+        size += len(part)
+        if size >= _JSON_CHUNK_CHARS:
             handle.write("".join(parts))
             parts.clear()
+            size = 0
 
     _json_parts(payload, "\n", emit)
     parts.append("\n")
@@ -337,6 +345,26 @@ def _json_parts(o, newline: str, emit) -> None:
         inner = newline + "  "
         if {*map(type, o)} == {int}:
             emit("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            return
+        if (
+            {*map(type, o)} == {list}
+            and all(o)
+            and {*map(type, chain.from_iterable(o))} == {int}
+        ):
+            # 256 inner lists per call.  Unindented, the C encoder puts
+            # deeper (each int's line) after every comma; the brackets
+            # between two inner lists then go on lines of their own.  An
+            # empty inner list would need "[]", and lists of ints hold no
+            # cycle to check for.
+            deeper = inner + "  "
+            encode = JSONEncoder(check_circular=False, separators=("," + deeper, ":")).encode
+            between = inner + "]," + inner + "[" + deeper
+            sep = "[" + inner + "[" + deeper
+            for start in range(0, len(o), 256):
+                text = encode(o[start : start + 256])
+                emit(sep + text[2:-2].replace("]," + deeper + "[", between))
+                sep = between
+            emit(inner + "]" + newline + "]")
             return
         sep = "[" + inner
         for x in o:

@@ -177,8 +177,9 @@ class PermTable:
     exhaustive computation downstream (spans, commutants, class closures and
     the class report) runs on these integer tables.  ``rank`` and ``image``
     convert through the Lehmer code, the rank's factorial-base digits.
-    ``perms``, the validated ``Permutation`` of each rank with its length
-    filled in, is built on first access, for callers that key on them.
+    ``inv``, which only the Nilcoxeter center basis reads, and ``perms``,
+    the validated ``Permutation`` of each rank with its length filled in,
+    are built on first access.
 
     A generator raises the length exactly when it raises the rank: on a
     descent, swapping the values i+1 and i (left) or the entries at
@@ -191,7 +192,6 @@ class PermTable:
     lengths: tuple[int, ...]
     lmul: tuple[tuple[int, ...], ...]
     rmul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
     w0: int
 
     @property
@@ -218,6 +218,19 @@ class PermTable:
             digit, k = divmod(k, factorial(m))
             out.append(unused.pop(digit))
         return tuple(out)
+
+    @cached_property
+    def inv(self) -> tuple[int, ...]:
+        # Every k > 0 has a left descent i, v = lmul[i][k] < k, so
+        # k^-1 = v^-1 s_i.
+        rows = tuple(zip(self.lmul, self.rmul))
+        inv = [0] * self.order
+        for k in range(1, self.order):
+            for out, row in rows:
+                if (v := out[k]) < k:
+                    break
+            inv[k] = row[inv[v]]
+        return tuple(inv)
 
     @cached_property
     def perms(self) -> tuple[Permutation, ...]:
@@ -274,19 +287,14 @@ def symmetric_group(n: int) -> PermTable:
     # w o s_i swaps the entries at positions i and i+1 (0-based p = i-1).
     rmul = tuple(_rmul_row(n, p, ranks) for p in range(n - 1))
     # Every k > 0 has a right descent j, u = rmul[j][k] < k, so s_i k =
-    # (s_i u) s_j; and a left descent i, v = lmul[i][k] < k, so k^-1 = v^-1 s_i.
+    # (s_i u) s_j.
     lmul = [[row[0]] * len(ranks) for row in rmul]
-    inv = [0] * len(ranks)
     for k in range(1, len(ranks)):
         for row in rmul:
             if (u := row[k]) < k:
                 break
         for out in lmul:
             out[k] = row[out[u]]
-        for out, row in zip(lmul, rmul):
-            if (v := out[k]) < k:
-                break
-        inv[k] = row[inv[v]]
     for i, out in enumerate(lmul):  # one row's list at a time is held twice
         lmul[i] = tuple(out)
     return PermTable(
@@ -295,7 +303,6 @@ def symmetric_group(n: int) -> PermTable:
         lengths=lengths,
         lmul=tuple(lmul),
         rmul=rmul,
-        inv=tuple(inv),
         w0=ranks[-1],
     )
 

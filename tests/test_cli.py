@@ -480,16 +480,18 @@ def test_dim_n8_peak_memory(algebra):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_class_report_n8_peak_memory(tmp_path):
-    # The table keeps no one-line words, and the report holds the word lists
-    # themselves: 34.5 MB.  With one-line words and word tuples copied into
-    # the report this command took 49 MB, and copying the word lists alone
-    # takes it to 39.5 MB.  The report goes to a file, not to the StringIO
-    # that would hold its 8.1 MB text.
+    # The table keeps no one-line words and no inverse, the report holds the
+    # word lists themselves, and the writer holds about 256 kB of text at a
+    # time: 32.8 MB.  Building the inverse with the table took this command
+    # to 34.5 MB; with one-line words and word tuples copied into the report
+    # it took 49 MB, and copying the word lists alone takes it to 39.5 MB.
+    # The report goes to a file, not to the StringIO that would hold its
+    # 8.1 MB text.
     target = tmp_path / "classes.json"
     peak_kb = child_peak_kb(
         "classes", "--algebra", "0-hecke", "-n", "8", "--format", "json", "--output", str(target)
     )
-    assert peak_kb < 38 * 1024, f"peak {peak_kb / 1024:.1f} MB"
+    assert peak_kb < 36 * 1024, f"peak {peak_kb / 1024:.1f} MB"
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == CLASSES_N8_JSON_SHA256["0-hecke"]
 
@@ -517,26 +519,59 @@ def write_json(payload) -> str:
     return handle.getvalue()
 
 
+# A list of lists of ints goes through the C encoder 256 inner lists at a
+# time; the rest of the payload, and any list of lists with an empty list or
+# anything but exact ints among them, is written part by part.
 @given(json_payloads)
 @example([[1, 2], [True], [], [-3, False], [[4]], ["5"]])
+@example([[i, -i - 1] for i in range(256)])
+@example({"members": [[i % 7 + 1] * (i % 5 + 1) for i in range(257)]})
+@example([[[i, 2 * i], [i + 1]] for i in range(3)] + [[[j] for j in range(600)]])
+@example([[1, 2], [], [3]])
+@example([[1, True], [2]])
+@example([[1, [2]]])
+@example([[-1, 2**64, -(2**70)], [0, 10**30]])
 @settings(max_examples=300, deadline=None)
 def test_render_json_matches_json_dumps(payload):
     assert write_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
-@given(json_payloads, st.sampled_from([1, 3]))
+def test_int_lists_without_the_c_encoder():
+    # with the C encoder unavailable json falls back to its pure-Python
+    # encoder, which must give the same bytes
+    payload = {
+        "words": [[i % 7 + 1] * (i % 5 + 1) for i in range(600)],
+        "wide": [[-1, 2**64, -(2**70)], [0]],
+    }
+    want = json.dumps(payload, indent=2) + "\n"
+    with mock.patch("json.encoder.c_make_encoder", None):
+        assert write_json(payload) == want
+
+
+@given(json_payloads, st.sampled_from([1, 64]))
+@example({"s": "x" * 200, "words": [[1, 2, 3]] * 300}, 64)
 @settings(max_examples=100, deadline=None)
-def test_write_json_in_chunks_matches_render_json(payload, chunk_parts):
-    # one part per write and a few parts per write give the bytes of the
-    # default chunk size
+def test_write_json_in_chunks_matches_render_json(payload, chunk_chars):
+    # a write after every part and after every 64 characters give the bytes
+    # of the default budget, also where one part is longer than the budget
     want = write_json(payload)
-    with mock.patch.object(cli, "_JSON_CHUNK_PARTS", chunk_parts):
+    with mock.patch.object(cli, "_JSON_CHUNK_CHARS", chunk_chars):
         assert write_json(payload) == want
 
 
 @pytest.mark.parametrize(
     "payload",
-    [1.5, (1, 2), Fraction(1, 2), {"a": [1, 2.0]}, {1: 2}, [[1, 2], [3, 2.0]], [[1], (2,)]],
+    [
+        1.5,
+        (1, 2),
+        Fraction(1, 2),
+        {"a": [1, 2.0]},
+        {1: 2},
+        [[1, 2], [3, 2.0]],
+        [[1], (2,)],
+        [[1, (2,)]],
+        [[1, 2]] * 300 + [[3, (4,)]],
+    ],
 )
 def test_render_json_rejects_other_types(payload):
     with pytest.raises(TypeError):

@@ -317,6 +317,7 @@ def test_table_perms_built_on_first_access(n):
     symmetric_group.cache_clear()
     table = symmetric_group(n)
     assert "perms" not in vars(table)
+    assert "inv" not in vars(table)
     assert table.order == factorial(n)
     perms = table.perms
     assert "perms" in vars(table)
@@ -324,5 +325,7 @@ def test_table_perms_built_on_first_access(n):
     for w, length in zip(perms, table.lengths):
         assert vars(w)["length"] == length == naive_inversions(w.image)
     assert table.perms is perms
+    inv = table.inv
+    assert "inv" in vars(table) and table.inv is inv
     symmetric_group.cache_clear()
     assert "perms" not in vars(symmetric_group(n))

@@ -237,6 +237,15 @@ def test_class_report_builds_no_permutations(params):
     jsonschema.validate(report, CLASS_REPORT_SCHEMA)
 
 
+def test_class_report_n8_builds_no_inverse_table():
+    # only the Nilcoxeter center basis reads inv, which is built on first
+    # access
+    symmetric_group.cache_clear()
+    mobius_classes.cache_clear()
+    classes_to_json(mobius_classes(8, ZERO_HECKE))
+    assert "inv" not in vars(symmetric_group(8))
+
+
 def test_hecke_class_lengths_vary():
     classes = mobius_classes(3, ZERO_HECKE)
     big = max(classes.classes, key=len)

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,51 @@ def test_conjecture_report_reproduces_the_archived_reports(tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == archived
     for name in archived:
         assert (tmp_path / name).read_bytes() == (REPORTS / name).read_bytes(), name
+
+
+def test_bench_pairs_summary_quartiles():
+    bench = load_script("bench_pairs")
+    assert bench._summary([4.0, 1.0, 3.0, 2.0]) == {"q1": 1.25, "median": 2.5, "q3": 3.75}
+    assert bench._summary([0.5]) == {"q1": 0.5, "median": 0.5, "q3": 0.5}
+
+
+def test_bench_pairs_wins_count_strictly_better_pairs():
+    bench = load_script("bench_pairs")
+    runs = [
+        {"base": {"t": 1.0}, "change": {"t": 0.9}},
+        {"base": {"t": 1.0}, "change": {"t": 1.0}},
+        {"base": {"t": 1.0}, "change": {"t": 1.1}},
+        {"base": {"t": 2.0}, "change": {"t": 0.5}},
+    ]
+    # a tie counts for neither side
+    assert bench._wins(runs, "t", "lower") == 2
+    assert bench._wins(runs, "t", "higher") == 1
+
+
+def test_bench_pairs_first_seed(tmp_path, monkeypatch, capsys):
+    # the pairs take the seeds from --first-seed on, and the side that runs
+    # first alternates; nothing is exported or run
+    bench = load_script("bench_pairs")
+    (tmp_path / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append((checkout.name, seed))
+        value = 1.0 if checkout.name == "base" else 0.5
+        return {"solve_cpu_s": value, "peak_rss_mb": value, "setup_s": value}
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "_git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(bench, "_export", lambda commit, target: None)
+    monkeypatch.setattr(bench, "_run", fake_run)
+    argv = ["bench_pairs.py", "--workload", "w", "--base", "x", "--pairs", "3", "--first-seed", "11"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bench.main() == 0
+    assert calls == [
+        ("base", 11), ("change", 11), ("change", 12), ("base", 12), ("base", 13), ("change", 13),
+    ]
+    out = json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert out["seeds"] == [11, 12, 13]
+    assert {name: m["wins"] for name, m in out["metrics"].items()} == {
+        "solve_cpu_s": 3, "peak_rss_mb": 3, "setup_s": 3,
+    }
