@@ -69,7 +69,7 @@ _MAX_GRAM_ENTRIES = math.factorial(6) ** 2
 
 # Each command builds a table of one object per permutation, plus what it
 # computes on it: at n = 8 (40,320) `verify --suite relations` peaks at
-# 31 MB of RSS, the Nilcoxeter `basis` at 34 MB, `classes` at 34 MB, `dim`
+# 31 MB of RSS, the Nilcoxeter `basis` at 34 MB, `classes` at 33 MB, `dim`
 # at 24-25 MB and `verify --suite duality` at 61 MB; n = 9 would need nine
 # times as much.
 _MAX_TABLE_ORDER = math.factorial(8)
@@ -306,8 +306,10 @@ def _cmd_verify(args) -> tuple[dict, int]:
 # --- rendering ----------------------------------------------------------------
 
 
-# characters per write: a few hundred kB of a class report
-_JSON_CHUNK_CHARS = 1 << 18
+# Characters per write.  Every part held is also a str object, so a budget
+# of 2**18 took `basis --algebra 0-hecke -n 6`, whose parts are short, to a
+# peak 0.5 MB higher.
+_JSON_CHUNK_CHARS = 1 << 16
 
 
 def _write_json(payload: dict, handle) -> None:

@@ -481,8 +481,8 @@ def test_dim_n8_peak_memory(algebra):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_class_report_n8_peak_memory(tmp_path):
     # The table keeps no one-line words and no inverse, the report holds the
-    # word lists themselves, and the writer holds about 256 kB of text at a
-    # time: 32.8 MB.  Building the inverse with the table took this command
+    # word lists themselves, and the writer holds about 64 k characters at a
+    # time: 32.2 MB.  Building the inverse with the table took this command
     # to 34.5 MB; with one-line words and word tuples copied into the report
     # it took 49 MB, and copying the word lists alone takes it to 39.5 MB.
     # The report goes to a file, not to the StringIO that would hold its
