@@ -18,10 +18,9 @@ they satisfy trace(x*y) == trace(y*involve(x)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
-from typing import Iterator
 
 from .linalg import format_rational, parse_rational
 from .perm import (
@@ -67,20 +66,38 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class AlgebraParams:
     """The pair (a, b) of structure constants.
 
     A single pair suffices on S_n: all adjacent transpositions are conjugate,
-    so per-generator constants would be forced equal anyway.
+    so per-generator constants would be forced equal anyway.  Immutable,
+    since it keys dicts and caches: assigning an attribute raises
+    AttributeError.
     """
 
     a: Fraction
     b: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a, b) -> None:
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of AlgebraParams")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of AlgebraParams")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) == (other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"AlgebraParams(a={self.a!r}, b={self.b!r})"
 
     @property
     def denominator(self) -> int:
@@ -117,26 +134,31 @@ def parse_algebra(name: str) -> AlgebraParams:
         raise ValueError(f"unknown algebra {name!r}: {exc}") from None
 
 
-@dataclass
 class AlgebraElement:
     """A finitely supported rational combination of basis elements T_w.
 
-    Zero coefficients are never stored.  Instances are treated as immutable.
+    Zero coefficients are never stored.  Instances are treated as immutable;
+    two are equal when their n, parameters and terms are.
     """
 
-    n: int
-    params: AlgebraParams
-    terms: dict[Permutation, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, n: int, params: AlgebraParams, terms: dict[Permutation, Fraction] = {}
+    ) -> None:
         clean = {}
-        for w, c in self.terms.items():
-            if w.n != self.n:
-                raise ValueError(f"term on {w.n} strands in an algebra on {self.n}")
+        for w, c in terms.items():
+            if w.n != n:
+                raise ValueError(f"term on {w.n} strands in an algebra on {n}")
             c = Fraction(c)
             if c:
                 clean[w] = c
+        self.n = n
+        self.params = params
         self.terms = clean
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.params, self.terms) == (other.n, other.params, other.terms)
+        return NotImplemented
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -353,17 +375,17 @@ def gram_matrix(n: int, params: AlgebraParams) -> list[list[int | Fraction]]:
     return rows
 
 
-@dataclass(frozen=True)
 class RelationCheck:
-    name: str
-    passed: bool
+    def __init__(self, name: str, passed: bool) -> None:
+        self.name = name
+        self.passed = passed
 
 
-@dataclass(frozen=True)
 class RelationReport:
-    n: int
-    params: AlgebraParams
-    checks: tuple[RelationCheck, ...]
+    def __init__(self, n: int, params: AlgebraParams, checks: tuple[RelationCheck, ...]) -> None:
+        self.n = n
+        self.params = params
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -391,27 +413,6 @@ def check_defining_relations(n: int, params: AlgebraParams) -> RelationReport:
     return RelationReport(n, params, tuple(checks))
 
 
-def _product_terms(
-    row: tuple[int, ...], ks: range, a, b, one
-) -> Iterator[tuple[tuple[int, int | Fraction], ...]]:
-    """The terms of each product whose moved index is ``row[k]``, for k in
-    ``ks``, with ``one`` as the coefficient of an ascent, ``a`` and ``b`` those
-    of a descent; zero coefficients are dropped.  The rank goes up exactly
-    when the length does (see ``PermTable``)."""
-    for k in ks:
-        m = row[k]
-        if m > k:
-            yield ((m, one),) if one else ()
-        elif a and b:
-            yield ((k, a), (m, b))
-        elif a:
-            yield ((k, a),)
-        elif b:
-            yield ((m, b),)
-        else:
-            yield ()
-
-
 def commutator_terms(
     n: int, params: AlgebraParams, i: int, j: int, transpose: bool = False
 ) -> Iterator[dict[int, int]]:
@@ -421,6 +422,12 @@ def commutator_terms(
     ``transpose``.  Row u of ``x -> T_i x`` is 1 at s_i u and a at u when
     s_i u < u, and b at s_i u when s_i u > u: the column rule with 1 and b
     exchanged.  Right multiplication is the same on ``rmul``.
+
+    Each dict is built in one pass from ``lmul[i-1][k]`` and
+    ``rmul[j-1][k]``: the rank goes up exactly when the length does (see
+    ``PermTable``), so an ascent m > k gives the term (m, 1) and a descent
+    the terms (k, a) and (m, b), zero coefficients dropped.  The left
+    product's terms go in first and the right product's are subtracted.
 
     D is ``params.denominator``, so that every coefficient is an int; it is 1
     for the presets.  Scaling rows changes neither their span nor their
@@ -434,18 +441,32 @@ def commutator_terms(
     d = params.denominator
     a, b = int(params.a * d), int(params.b * d)
     one, b = (b, d) if transpose else (d, b)
-    ks = range(table.order - 1, -1, -1)
-    for left, right in zip(
-        _product_terms(table.lmul[i - 1], ks, a, b, one),
-        _product_terms(table.rmul[j - 1], ks, a, b, one),
+    for k, m, r in zip(
+        range(table.order - 1, -1, -1), reversed(table.lmul[i - 1]), reversed(table.rmul[j - 1])
     ):
-        diff = dict(left)
-        for u, c in right:
-            c = diff.get(u, 0) - c
-            if c:
-                diff[u] = c
-            else:
-                del diff[u]
+        if m > k:
+            diff = {m: one} if one else {}
+        elif a:
+            diff = {k: a, m: b} if b else {k: a}
+        else:
+            diff = {m: b} if b else {}
+        if r > k:
+            if one:
+                if c := diff.get(r, 0) - one:
+                    diff[r] = c
+                else:
+                    del diff[r]
+        else:
+            if a:
+                if c := diff.get(k, 0) - a:
+                    diff[k] = c
+                else:
+                    del diff[k]
+            if b:
+                if c := diff.get(r, 0) - b:
+                    diff[r] = c
+                else:
+                    del diff[r]
         yield diff
 
 

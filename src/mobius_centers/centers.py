@@ -17,7 +17,6 @@ trace(T_w * z) = 1 for w in c and 0 for every basis element outside c; one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -96,15 +95,21 @@ def is_central(x: AlgebraElement) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class CenterBasis:
     """A basis of the center, one element per nonzero Mobius class, labeled
     by the class representative."""
 
-    n: int
-    params: AlgebraParams
-    labels: tuple[Permutation, ...]
-    elements: tuple[AlgebraElement, ...]
+    def __init__(
+        self,
+        n: int,
+        params: AlgebraParams,
+        labels: tuple[Permutation, ...],
+        elements: tuple[AlgebraElement, ...],
+    ) -> None:
+        self.n = n
+        self.params = params
+        self.labels = labels
+        self.elements = elements
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -212,21 +217,34 @@ def multiplication_table(basis: CenterBasis) -> list[list[list[Fraction]]]:
 # --- 0-Hecke support report --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ClassFinding:
-    representative: Permutation
-    dual_element: AlgebraElement
-    complements: tuple[Permutation, ...]
-    coefficients: tuple[tuple[Permutation, Fraction], ...]
-    support_in_complements: bool
-    integer_coefficients: bool
+    def __init__(
+        self,
+        representative: Permutation,
+        dual_element: AlgebraElement,
+        complements: tuple[Permutation, ...],
+        coefficients: tuple[tuple[Permutation, Fraction], ...],
+        support_in_complements: bool,
+        integer_coefficients: bool,
+    ) -> None:
+        self.representative = representative
+        self.dual_element = dual_element
+        self.complements = complements
+        self.coefficients = coefficients
+        self.support_in_complements = support_in_complements
+        self.integer_coefficients = integer_coefficients
 
 
-@dataclass(frozen=True)
 class ConjectureReport:
-    n: int
-    classes: tuple[ClassFinding, ...]
-    unique_complement_per_crossing_number: bool
+    def __init__(
+        self,
+        n: int,
+        classes: tuple[ClassFinding, ...],
+        unique_complement_per_crossing_number: bool,
+    ) -> None:
+        self.n = n
+        self.classes = classes
+        self.unique_complement_per_crossing_number = unique_complement_per_crossing_number
 
 
 def verify_hn_conjecture(n: int) -> ConjectureReport:

@@ -9,7 +9,6 @@ verification failure, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
 import math
@@ -461,6 +460,8 @@ def _render_text(command: str, payload: dict) -> str:
 
 
 def _render_csv(command: str, payload: dict) -> str:
+    import csv  # here, so that JSON and text reports do not import it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if command == "dim":

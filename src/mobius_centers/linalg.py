@@ -6,7 +6,8 @@ and results leave it as ``fractions.Fraction``s (arbitrary-precision, always
 in lowest terms with positive denominator).  No floating point is used
 anywhere in this module.  ``rank`` takes rows of at most two entries, the
 presets' constraint rows, by a weighted union-find with int or ``Fraction``
-gains, and hands off to the elimination at the first longer row.
+gains, whose finds halve paths inside its row loop, and hands off to the
+elimination at the first longer row.
 
 Subspaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal exactly when their stored bases are equal, independent
@@ -27,10 +28,9 @@ subspace returned holds ``Fraction`` entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
 
 __all__ = [
     "format_rational",
@@ -69,25 +69,28 @@ class NonUniqueSolutionError(Exception):
     """The solution set is positive-dimensional."""
 
 
-@dataclass(frozen=True)
 class SparseVector:
     """A vector with only its nonzero entries stored, as ``Fraction``s.
 
     The type of the vectors this module returns; treated as immutable.
+    Vectors are equal when their dimensions and entries are.
     """
 
-    dimension: int
-    entries: Mapping[int, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self, dimension: int, entries: Mapping[int, Fraction | int] = {}) -> None:
         clean = {}
-        for j, c in self.entries.items():
-            if not 0 <= j < self.dimension:
-                raise ValueError(f"index {j} outside dimension {self.dimension}")
+        for j, c in entries.items():
+            if not 0 <= j < dimension:
+                raise ValueError(f"index {j} outside dimension {dimension}")
             c = Fraction(c)
             if c:
                 clean[j] = c
-        object.__setattr__(self, "entries", clean)
+        self.dimension = dimension
+        self.entries: Mapping[int, Fraction] = clean
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dimension == other.dimension and self.entries == other.entries
+        return NotImplemented
 
 
 _Row = Mapping[int, Fraction | int]
@@ -231,12 +234,21 @@ class _Echelon:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace held as a reduced row echelon basis (canonical form)."""
+    """A subspace held as a reduced row echelon basis (canonical form), so
+    two subspaces are equal exactly when their bases are."""
 
-    ambient_dimension: int
-    basis: tuple[SparseVector, ...]
+    def __init__(self, ambient_dimension: int, basis: tuple[SparseVector, ...]) -> None:
+        self.ambient_dimension = ambient_dimension
+        self.basis = basis
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.ambient_dimension == other.ambient_dimension
+                and self.basis == other.basis
+            )
+        return NotImplemented
 
     @property
     def dim(self) -> int:
@@ -267,45 +279,29 @@ def span(vectors: Iterable[_Row], dimension: int) -> Subspace:
     return _subspace_from_echelon(_echelon(vectors, dimension))
 
 
-# parent[v] of a root of the rank forest: a component still free, or one
-# held at 0
-_FREE, _FIXED = -1, -2
-
-
-def _find(parent: list[int], gain: list, v: int) -> tuple[int, Fraction | int]:
-    """The root of v's tree and x_v / x_root, compressing v's path."""
-    path = []
-    while parent[v] >= 0:
-        path.append(v)
-        v = parent[v]
-    g = 1
-    for u in reversed(path):
-        g = gain[u] = gain[u] * g
-        parent[u] = v
-    return v, g
-
-
 def rank(vectors: Iterable[_Row], dimension: int) -> int:
     """Dimension of the span, with no basis built.
 
     While every row has at most two entries, the rows are the incidence
     matrix of a signed graph, and a weighted union-find takes their rank
     without elimination.  On the rows' common nullspace a tied column v has
-    x_v = gain[v] * x_parent[v], an int or a ``Fraction``, and a root is the
-    largest column of its tree.  A one-entry row fixes its component at 0,
-    and so does a two-entry row that closes a cycle whose gains do not
-    match.  Each row that joins two components, or fixes a free one, adds 1
-    to the rank: ``dimension`` minus the number of free components.
+    x_v = gain[v] * x_parent[v], an int or a ``Fraction``; a root is its own
+    parent and the largest column of its tree, so every parent lies right of
+    its child.  Each find halves the path it walks, in the row loop itself:
+    a column is moved up to its grandparent, its gain first multiplied by
+    its parent's.  A one-entry row fixes its component at 0 (``fixed`` marks
+    the root), and so does a two-entry row that closes a cycle whose gains
+    do not match.  Each row that joins two components, or fixes a free one,
+    adds 1 to the rank: ``dimension`` minus the number of free components.
 
     The first longer row hands off to the echelon, seeded with the forest's
     own basis rows: x_root for every fixed root and x_v - g * x_root for
-    every tied column, each with its own pivot, so the handoff costs only
-    the columns the forest touched.  The echelon takes that row and every
-    later one.
+    every tied column, each with its own pivot, so no seed row is reduced.
+    The echelon takes that row and every later one.
     """
-    parent = [_FREE] * dimension
+    parent = list(range(dimension))
     gain: list[Fraction | int] = [1] * dimension
-    touched = []  # each column that left _FREE, once
+    fixed = bytearray(dimension)
     found = 0
     rows = iter(vectors)
     for row in rows:
@@ -321,47 +317,52 @@ def rank(vectors: Iterable[_Row], dimension: int) -> int:
             raise ValueError("zero entry in a row")
         if len(items) == 1:
             ((a, _),) = items
-            root = _find(parent, gain, a)[0] if parent[a] >= 0 else a
+            while (p := parent[a]) != a:
+                gain[a] *= gain[p]
+                parent[a] = a = parent[p]
         else:
             (a, c), (b, d) = items
-            ra, ga = _find(parent, gain, a) if parent[a] >= 0 else (a, 1)
-            rb, gb = _find(parent, gain, b) if parent[b] >= 0 else (b, 1)
-            if ra == rb:
-                # the row is (c * ga + d * gb) * x_root
-                if not c * ga + d * gb:
+            ga = gb = 1
+            while (p := parent[a]) != a:
+                gain[a] *= gain[p]
+                ga *= gain[a]
+                parent[a] = a = parent[p]
+            while (p := parent[b]) != b:
+                gain[b] *= gain[p]
+                gb *= gain[b]
+                parent[b] = b = parent[p]
+            if a != b:
+                if a > b:
+                    a, b, c, d, ga, gb = b, a, d, c, gb, ga
+                if fixed[a] and fixed[b]:
                     continue
-                root = ra
-            else:
-                if ra > rb:
-                    ra, rb, c, d, ga, gb = rb, ra, d, c, gb, ga
-                state = parent[ra]
-                if state == parent[rb] == _FIXED:
-                    continue
-                # c * ga * x_ra + d * gb * x_rb = 0 puts ra under rb
+                # c * ga * x_a + d * gb * x_b = 0 puts root a under root b
                 num, den = -d * gb, c * ga
-                gain[ra] = num // den if not num % den else Fraction(num, den)
-                parent[ra] = rb
-                if state == _FREE:
-                    touched.append(ra)
-                else:
-                    parent[rb] = _FIXED
-                    touched.append(rb)
+                gain[a] = num // den if not num % den else Fraction(num, den)
+                parent[a] = b
+                if fixed[a]:
+                    fixed[b] = 1
                 found += 1
                 continue
-        if parent[root] == _FREE:
-            parent[root] = _FIXED
-            touched.append(root)
+            # the row is (c * ga + d * gb) * x_a
+            if not c * ga + d * gb:
+                continue
+        if not fixed[a]:
+            fixed[a] = 1
             found += 1
     else:
         return found
     ech = _Echelon(dimension)
-    for v in touched:
-        if parent[v] == _FIXED:
+    for v in range(dimension):
+        if parent[v] == v and fixed[v]:
             ech.insert({v: 1})
-    for v in touched:
-        if parent[v] >= 0:
-            root, g = _find(parent, gain, v)
-            ech.insert({v: 1, root: -g})
+    # Highest column first, so each parent p > v already points at its
+    # root with its gain to it (a root's gain is 1).
+    for v in range(dimension - 1, -1, -1):
+        if (p := parent[v]) != v:
+            gain[v] *= gain[p]
+            parent[v] = root = parent[p]
+            ech.insert({v: 1, root: -gain[v]})
     ech.insert(row)
     for row in rows:
         ech.insert(row)

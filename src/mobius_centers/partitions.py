@@ -10,7 +10,6 @@ of the center as a sum of multinomial arrangement counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
@@ -22,15 +21,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PartitionStats:
     """A partition of n together with its even-part statistics."""
 
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts) -> None:
+        parts = tuple(parts)
+        self.parts = parts
         if any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):

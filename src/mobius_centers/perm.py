@@ -17,7 +17,6 @@ Conventions, fixed once and used everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
 from itertools import permutations as _lex_images
@@ -48,20 +47,37 @@ MAX_N = 12
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n}; ``image[p-1] = w(p)``."""
+    """A permutation of {1..n}; ``image[p-1] = w(p)``.
+
+    Immutable, since it keys dicts and caches: assigning an attribute
+    raises AttributeError.
+    """
 
     image: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        image = tuple(self.image)
-        object.__setattr__(self, "image", image)
+    def __init__(self, image) -> None:
+        image = tuple(image)
         n = len(image)
         if not 1 <= n <= MAX_N:
             raise ValueError(f"number of strands must be in 1..{MAX_N}, got {n}")
         if sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {image}")
+        object.__setattr__(self, "image", image)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of a Permutation")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of a Permutation")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.image == other.image
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.image)
 
     @property
     def n(self) -> int:
@@ -167,7 +183,6 @@ def conjugate_by_w0(w: Permutation) -> Permutation:
     return Permutation(tuple(n + 1 - w.image[n - x] for x in range(1, n + 1)))
 
 
-@dataclass(frozen=True)
 class PermTable:
     """All of S_n indexed by lexicographic rank of the one-line word.
 
@@ -187,12 +202,21 @@ class PermTable:
     ``lmul[i-1][k] < k`` iff i is a left descent of w.
     """
 
-    n: int
-    ranks: tuple[int, ...]
-    lengths: tuple[int, ...]
-    lmul: tuple[tuple[int, ...], ...]
-    rmul: tuple[tuple[int, ...], ...]
-    w0: int
+    def __init__(
+        self,
+        n: int,
+        ranks: tuple[int, ...],
+        lengths: tuple[int, ...],
+        lmul: tuple[tuple[int, ...], ...],
+        rmul: tuple[tuple[int, ...], ...],
+        w0: int,
+    ) -> None:
+        self.n = n
+        self.ranks = ranks
+        self.lengths = lengths
+        self.lmul = lmul
+        self.rmul = rmul
+        self.w0 = w0
 
     @property
     def order(self) -> int:

@@ -11,10 +11,9 @@ identifications close up under union-find, with zero as an absorbing sink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator
 
 from . import linalg
 from .algebra import (
@@ -101,7 +100,6 @@ def quotient_dim(n: int, params: AlgebraParams, twisted: bool) -> int:
     return order - linalg.rank(_commutator_rows(n, params, twisted), order)
 
 
-@dataclass(frozen=True)
 class MobiusClasses:
     """The partition of the T_w basis under the band identifications, held
     as basis indices (ranks in ``symmetric_group(n)``).
@@ -117,10 +115,17 @@ class MobiusClasses:
     None when nothing vanishes.
     """
 
-    n: int
-    params: AlgebraParams
-    member_ranks: tuple[tuple[int, ...], ...]
-    zero_ranks: tuple[int, ...]
+    def __init__(
+        self,
+        n: int,
+        params: AlgebraParams,
+        member_ranks: tuple[tuple[int, ...], ...],
+        zero_ranks: tuple[int, ...],
+    ) -> None:
+        self.n = n
+        self.params = params
+        self.member_ranks = member_ranks
+        self.zero_ranks = zero_ranks
 
     @cached_property
     def members(self) -> tuple[tuple[Permutation, ...], ...]:
