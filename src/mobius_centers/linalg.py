@@ -306,22 +306,12 @@ def rank(vectors: Iterable[_Row], dimension: int) -> int:
     rows = iter(vectors)
     for row in rows:
         items = row.items()
-        if len(items) > 2:
-            break
-        if not items:
-            continue
-        for j in row:
-            if not 0 <= j < dimension:
-                raise ValueError(f"row index outside dimension {dimension}")
-        if 0 in row.values():
-            raise ValueError("zero entry in a row")
-        if len(items) == 1:
-            ((a, _),) = items
-            while (p := parent[a]) != a:
-                gain[a] *= gain[p]
-                parent[a] = a = parent[p]
-        else:
+        if len(items) == 2:
             (a, c), (b, d) = items
+            if not (0 <= a < dimension and 0 <= b < dimension):
+                raise ValueError(f"row index outside dimension {dimension}")
+            if not (c and d):
+                raise ValueError("zero entry in a row")
             ga = gb = 1
             while (p := parent[a]) != a:
                 gain[a] *= gain[p]
@@ -347,6 +337,19 @@ def rank(vectors: Iterable[_Row], dimension: int) -> int:
             # the row is (c * ga + d * gb) * x_a
             if not c * ga + d * gb:
                 continue
+        elif len(items) == 1:
+            ((a, c),) = items
+            if not 0 <= a < dimension:
+                raise ValueError(f"row index outside dimension {dimension}")
+            if not c:
+                raise ValueError("zero entry in a row")
+            while (p := parent[a]) != a:
+                gain[a] *= gain[p]
+                parent[a] = a = parent[p]
+        elif items:
+            break
+        else:
+            continue
         if not fixed[a]:
             fixed[a] = 1
             found += 1

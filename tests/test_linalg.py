@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PRESETS, PRESET_IDS
@@ -560,8 +560,17 @@ def short_rows(cols, max_rows=12):
     )
 
 
+# A chain fed leaf-first, x0 = 2 x1, x1 = x2 / 3 and x2 = -3/2 x3, puts
+# 0 -> 1 -> 2 -> 3 under the largest root, so x0 = -x3; the last row's find
+# from the leaf halves that path.  x0 + x3 then closes a balanced cycle and
+# x0 + 2 x3 an unbalanced one, which fixes the component.
+_CHAIN = [{0: 1, 1: -2}, {1: 1, 2: Fraction(-1, 3)}, {2: 2, 3: 3}]
+
+
 @given(st.integers(min_value=1, max_value=6).flatmap(
     lambda cols: st.tuples(st.just(cols), short_rows(cols))))
+@example((4, [*_CHAIN, {0: 1, 3: 1}]))
+@example((4, [*_CHAIN, {0: 1, 3: 2}]))
 @settings(max_examples=300, deadline=None)
 def test_rank_of_short_rows_matches_the_echelon(system):
     cols, rows = system
