@@ -68,8 +68,8 @@ _MAX_GRAM_ENTRIES = math.factorial(6) ** 2
 
 # Each command builds a table of one object per permutation, plus what it
 # computes on it: at n = 8 (40,320) `verify --suite relations` peaks at
-# 31 MB of RSS, the Nilcoxeter `basis` at 34 MB, `classes` at 32 MB, `dim`
-# at 24-25 MB and `verify --suite duality` at 61 MB; n = 9 would need nine
+# 29 MB of RSS, the Nilcoxeter `basis` at 32 MB, `classes` at 31 MB, `dim`
+# at 23 MB and `verify --suite duality` at 60 MB; n = 9 would need nine
 # times as much.
 _MAX_TABLE_ORDER = math.factorial(8)
 

@@ -25,8 +25,7 @@ class PartitionStats:
     """A partition of n together with its even-part statistics."""
 
     def __init__(self, parts) -> None:
-        parts = tuple(parts)
-        self.parts = parts
+        self.parts = parts = tuple(parts)
         if any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
