@@ -421,8 +421,8 @@ def test_output_naming_a_directory_is_usage_error(tmp_path, capsys, monkeypatch)
 
 def test_cli_import_leaves_out_dataclasses_and_csv():
     # Every command pays for what importing the CLI imports: dataclasses
-    # (with inspect) and building its record classes cost 17-20 ms of a
-    # 50 ms import, and csv about 0.8 ms in processes that write no CSV.
+    # (with inspect) and the building of the record classes took about a
+    # third of that import, and only CSV output needs csv.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
