@@ -75,8 +75,9 @@ def center(n: int, params: AlgebraParams) -> Subspace:
 
 def center_dim(n: int, params: AlgebraParams) -> int:
     """``center(n, params).dim`` with no basis built: n! minus the rank of
-    the same rows, which is the nullspace's count of free columns; for the
-    presets ``linalg.rank`` reads it off a union-find, with no elimination."""
+    the same rows.  ``linalg.rank`` reads it off a union-find of the rows
+    with at most two entries, all the presets' rows, and eliminates only
+    the longer rows of a generic pair, projected onto the forest's roots."""
     order = symmetric_group(n).order
     return order - rank(_commutator_rows(n, params, twisted=False, transpose=True), order)
 

@@ -13,7 +13,6 @@ import errno
 import io
 import math
 import os
-import random
 import sys
 from itertools import chain
 from json import JSONEncoder
@@ -69,7 +68,7 @@ _MAX_GRAM_ENTRIES = math.factorial(6) ** 2
 # Each command builds a table of one object per permutation, plus what it
 # computes on it: at n = 8 (40,320) `verify --suite relations` peaks at
 # 29 MB of RSS, the Nilcoxeter `basis` at 32 MB, `classes` at 31 MB, `dim`
-# at 23 MB and `verify --suite duality` at 60 MB; n = 9 would need nine
+# at 23 MB and `verify --suite duality` at 45 MB; n = 9 would need nine
 # times as much.
 _MAX_TABLE_ORDER = math.factorial(8)
 
@@ -216,6 +215,8 @@ def _suite_frobenius(n: int, params: AlgebraParams) -> list[dict]:
         pairs = [(x, y) for x in elements for y in elements]
         label = "trace(xy) = trace(y f(x)) on all basis pairs"
     else:
+        import random  # here, so that no other command imports it
+
         rng = random.Random(_FROBENIUS_PAIR_SEED)
         pairs = [
             (elements[rng.randrange(order)], elements[rng.randrange(order)])

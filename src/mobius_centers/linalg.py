@@ -4,10 +4,12 @@ Exact sparse linear algebra over the rationals.
 Ranks, nullspaces and solves are exact: the elimination holds Python ints
 and results leave it as ``fractions.Fraction``s (arbitrary-precision, always
 in lowest terms with positive denominator).  No floating point is used
-anywhere in this module.  ``rank`` takes rows of at most two entries, the
-presets' constraint rows, by a weighted union-find with int or ``Fraction``
-gains, whose finds halve paths inside its row loop, and hands off to the
-elimination at the first longer row.
+anywhere in this module.  ``rank`` and ``nullspace`` put every row of at
+most two entries, wherever it comes, into one weighted union-find with int
+or ``Fraction`` gains, whose finds halve paths inside its row loop.  Only
+the longer rows, projected onto the forest's free roots, are eliminated;
+the presets' constraint rows have none, so their rank and their nullspace
+are read off the forest alone.
 
 Subspaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal exactly when their stored bases are equal, independent
@@ -279,31 +281,31 @@ def span(vectors: Iterable[_Row], dimension: int) -> Subspace:
     return _subspace_from_echelon(_echelon(vectors, dimension))
 
 
-def rank(vectors: Iterable[_Row], dimension: int) -> int:
-    """Dimension of the span, with no basis built.
+def _forest(
+    rows: Iterable[_Row], dimension: int
+) -> tuple[list[int], list[Fraction | int], bytearray, int, list[_Row]]:
+    """The weighted union-find of the rows with at most two entries, and
+    the longer rows, kept as they are.
 
-    While every row has at most two entries, the rows are the incidence
-    matrix of a signed graph, and a weighted union-find takes their rank
-    without elimination.  On the rows' common nullspace a tied column v has
+    Returns ``(parent, gain, fixed, found, longer)``.  The rows of at most
+    two entries are the incidence matrix of a signed graph, whatever their
+    place in the sequence.  On their common nullspace a tied column v has
     x_v = gain[v] * x_parent[v], an int or a ``Fraction``; a root is its own
     parent and the largest column of its tree, so every parent lies right of
     its child.  Each find halves the path it walks, in the row loop itself:
-    a column is moved up to its grandparent, its gain first multiplied by
-    its parent's.  A one-entry row fixes its component at 0 (``fixed`` marks
-    the root), and so does a two-entry row that closes a cycle whose gains
-    do not match.  Each row that joins two components, or fixes a free one,
-    adds 1 to the rank: ``dimension`` minus the number of free components.
-
-    The first longer row hands off to the echelon, seeded with the forest's
-    own basis rows: x_root for every fixed root and x_v - g * x_root for
-    every tied column, each with its own pivot, so no seed row is reduced.
-    The echelon takes that row and every later one.
+    a column whose parent is not a root is moved up to its grandparent, its
+    gain first multiplied by its parent's.  A one-entry row fixes its
+    component at 0 (``fixed`` marks the root), and so does a two-entry row
+    that closes a cycle whose gains do not match.  ``found`` counts the rows
+    that join two components or fix a free one: the rank of the short rows,
+    ``dimension`` minus the number of free components.  Every row is checked
+    as the echelon checks it, with the same messages.
     """
     parent = list(range(dimension))
     gain: list[Fraction | int] = [1] * dimension
     fixed = bytearray(dimension)
     found = 0
-    rows = iter(vectors)
+    longer = []
     for row in rows:
         items = row.items()
         if len(items) == 2:
@@ -314,13 +316,17 @@ def rank(vectors: Iterable[_Row], dimension: int) -> int:
                 raise ValueError("zero entry in a row")
             ga = gb = 1
             while (p := parent[a]) != a:
-                gain[a] *= gain[p]
+                if (q := parent[p]) != p:
+                    gain[a] *= gain[p]
+                    parent[a] = q
                 ga *= gain[a]
-                parent[a] = a = parent[p]
+                a = q
             while (p := parent[b]) != b:
-                gain[b] *= gain[p]
+                if (q := parent[p]) != p:
+                    gain[b] *= gain[p]
+                    parent[b] = q
                 gb *= gain[b]
-                parent[b] = b = parent[p]
+                b = q
             if a != b:
                 if a > b:
                     a, b, c, d, ga, gb = b, a, d, c, gb, ga
@@ -344,49 +350,121 @@ def rank(vectors: Iterable[_Row], dimension: int) -> int:
             if not c:
                 raise ValueError("zero entry in a row")
             while (p := parent[a]) != a:
-                gain[a] *= gain[p]
-                parent[a] = a = parent[p]
+                if (q := parent[p]) != p:
+                    gain[a] *= gain[p]
+                    parent[a] = q
+                a = q
         elif items:
-            break
+            if not 0 <= min(row) <= max(row) < dimension:
+                raise ValueError(f"row index outside dimension {dimension}")
+            if 0 in row.values():
+                raise ValueError("zero entry in a row")
+            longer.append(row)
+            continue
         else:
             continue
         if not fixed[a]:
             fixed[a] = 1
             found += 1
-    else:
-        return found
-    ech = _Echelon(dimension)
-    for v in range(dimension):
-        if parent[v] == v and fixed[v]:
-            ech.insert({v: 1})
-    # Highest column first, so each parent p > v already points at its
-    # root with its gain to it (a root's gain is 1).
+    return parent, gain, fixed, found, longer
+
+
+def _root_echelon(
+    parent: list[int],
+    gain: list[Fraction | int],
+    fixed: bytearray,
+    longer: list[_Row],
+    dimension: int,
+) -> _Echelon:
+    """Point every column of the forest at its root, then the echelon of the
+    longer rows projected onto the free roots, each distinct projection up
+    to sign once.  Each row of ``longer`` is dropped from it once projected.
+
+    Highest column first, so each parent p > v already points at its root
+    with its gain to it; a column whose parent is a root keeps its gain.  On
+    the short rows' nullspace x_v = gain[v] * x_root(v), and x_root is 0 for
+    a fixed root, so a longer row sum(c_v * x_v) is
+    sum(c_v * gain[v] * x_root(v)) over the free roots.
+    """
     for v in range(dimension - 1, -1, -1):
-        if (p := parent[v]) != v:
+        if (r := parent[p := parent[v]]) != p:
             gain[v] *= gain[p]
-            parent[v] = root = parent[p]
-            ech.insert({v: 1, root: -gain[v]})
-    ech.insert(row)
-    for row in rows:
-        ech.insert(row)
-    return ech.dim
+            parent[v] = r
+
+    def projected():
+        # the first projected row of each hash; a row equal to it, or to its
+        # negation, adds nothing to the span and is not eliminated
+        seen: dict[int, dict] = {}
+        for i, row in enumerate(longer):
+            # held once, as the row or as its projection
+            longer[i] = None
+            out = {}
+            for v, c in row.items():
+                r = parent[v]
+                if fixed[r]:
+                    continue
+                # c * gain[v] is nonzero, so a zero sum cancels an entry
+                if x := out.get(r, 0) + c * gain[v]:
+                    out[r] = x
+                else:
+                    del out[r]
+            if out and out[min(out)] < 0:
+                out = {j: -x for j, x in out.items()}
+            if seen.get(h := hash(frozenset(out.items()))) != out:
+                seen[h] = out
+                yield out
+
+    return _echelon(projected(), dimension)
+
+
+def rank(vectors: Iterable[_Row], dimension: int) -> int:
+    """Dimension of the span, with no basis built.
+
+    The rows of at most two entries go into a weighted union-find (see
+    ``_forest``), which gives their rank with no elimination; the presets'
+    rows are all of that kind, so their rank is read off the forest alone.
+    The longer rows, projected onto the forest's free roots and with
+    repeated projections dropped, go to the echelon, and its rank adds to
+    the forest's.
+    """
+    parent, gain, fixed, found, longer = _forest(vectors, dimension)
+    if not longer:
+        return found
+    return found + _root_echelon(parent, gain, fixed, longer, dimension).dim
 
 
 def nullspace(vectors: Iterable[_Row], dimension: int) -> Subspace:
-    """The space of x with ``row . x = 0`` for every input row."""
-    ech = _echelon(vectors, dimension)
+    """The space of x with ``row . x = 0`` for every input row.
 
-    def raw():
-        for f in range(dimension):
+    The short rows' nullspace is parametrized by the free roots of their
+    union-find (see ``_forest``), x_v = gain[v] * y_root(v), and the longer
+    rows, projected onto those roots, are the equations y must meet.  Each
+    free root f that is not a pivot of their echelon gives one y, 1 at f
+    and -row[f] / row[p] at each pivot p whose row holds f; it is lifted to
+    x and the result is the span of the lifted vectors.  With no longer
+    row, as for the presets, there is one vector per free component, and
+    their supports are disjoint.
+    """
+    parent, gain, fixed, _, longer = _forest(vectors, dimension)
+    ech = _root_echelon(parent, gain, fixed, longer, dimension)
+    # a root is the largest column of its tree, so the free roots come in
+    # highest first, the order in which span's echelon takes them fastest
+    members: dict[int, list[int]] = {}
+    for v in range(dimension - 1, -1, -1):
+        if not fixed[r := parent[v]]:
+            members.setdefault(r, []).append(v)
+
+    def lifted():
+        for f in members:
             if f in ech.rows:
                 continue
-            vec = {f: 1}
+            y = {f: 1}
             for p in ech.occurs.get(f, ()):
                 row = ech.rows[p]
-                vec[p] = -Fraction(row[f], row[p])
-            yield vec
+                y[p] = -Fraction(row[f], row[p])
+            yield {v: gain[v] * c for r, c in y.items() for v in members[r]}
 
-    return span(raw(), dimension)
+    return span(lifted(), dimension)
 
 
 def solve_affine(

@@ -422,13 +422,14 @@ def test_output_naming_a_directory_is_usage_error(tmp_path, capsys, monkeypatch)
 def test_cli_import_leaves_out_dataclasses_and_csv():
     # Every command pays for what importing the CLI imports: dataclasses
     # (with inspect) and the building of the record classes took about a
-    # third of that import, and only CSV output needs csv.
+    # third of that import, only CSV output needs csv, and only the
+    # frobenius suite's sampled pairs need random.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import mobius_centers.cli\n"
-        "print(' '.join(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules))))\n"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'csv', 'random'} & set(sys.modules))))\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
@@ -465,6 +466,16 @@ def test_relations_n8_peak_memory():
     # Products of generators push through the lmul rows directly; a table
     # of every generator's left terms took this command to 69 MB.
     peak_kb = child_peak_kb("verify", "--suite", "relations", "--algebra", "0-hecke", "-n", "8")
+    assert peak_kb < 50 * 1024, f"peak {peak_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_duality_n8_peak_memory():
+    # Both centers are read off the union-find forest, one vector per free
+    # component: about 45 MB, most of it the two cached 40,320-column
+    # subspaces.  Eliminating the same rows and back-substituting, with the
+    # echelon held while the null vectors were spanned, took 60 MB.
+    peak_kb = child_peak_kb("verify", "--suite", "duality", "--algebra", "0-hecke", "-n", "8")
     assert peak_kb < 50 * 1024, f"peak {peak_kb / 1024:.1f} MB"
 
 

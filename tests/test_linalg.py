@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import PRESETS, PRESET_IDS
 from mobius_centers import linalg, quotients
+from mobius_centers.algebra import AlgebraParams
 from mobius_centers.linalg import (
     NonUniqueSolutionError,
     NoSolutionError,
@@ -139,12 +140,17 @@ def test_sparse_vector_of_wrong_dimension_is_refused(op):
         (lambda: rank([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 0}], 3), "zero entry"),
         (lambda: rank([{0: 1}, {0: 1, 1: -1}, {0: 1, 1: 1, 7: 1}], 3), "outside dimension 3"),
         (lambda: rank([{0: 1}, {1: 1, 2: -1}, {0: 1, 1: 2, 2: 0}], 3), "zero entry"),
+        # a negative index would wrap round the forest's lists
+        (lambda: rank([{0: 1, 1: -1}, {0: 1, 1: 1, -1: 1}], 3), "outside dimension 3"),
+        (lambda: nullspace([{-1: 1, 0: 1, 2: 1}], 3), "outside dimension 3"),
+        (lambda: nullspace([{0: 1, 1: 1}, {0: 1, 1: 2, 2: 0}], 3), "zero entry"),
     ],
     ids=[
         "zero-row", "zero-entry", "zero-fraction", "index-above", "index-negative",
         "nullspace-index", "span-index", "target-in-tail", "target-negative", "target-zero",
         "pair-index", "short-index-after-long", "short-zero-after-long",
-        "long-index-after-short", "long-zero-after-short",
+        "long-index-after-short", "long-zero-after-short", "long-negative",
+        "nullspace-long-negative", "nullspace-long-zero",
     ],
 )
 def test_malformed_rows_are_refused(call, message):
@@ -429,8 +435,11 @@ def test_span_and_nullspace_match_dense_oracle_under_shuffle(system, rnd):
     rnd.shuffle(vectors)
     with watched_echelon() as inserts:
         space = span(vectors, cols)
+        spanned = len(inserts)
         null = nullspace(vectors, cols)
-    assert len(inserts) >= 2 * len(vectors)
+    # every row of span reaches the echelon; nullspace's short rows go to
+    # the union-find instead
+    assert spanned == len(vectors)
     assert dense(space.basis, cols) == dense_rref(matrix, cols)
     assert dense(null.basis, cols) == dense_nullspace(matrix, cols)
     for b in space.basis + null.basis:
@@ -586,13 +595,20 @@ def test_rank_of_short_rows_matches_the_echelon(system):
         ),
         short_rows(cols, max_rows=6),
     )))
+# x0 = 2 x1 puts column 0 under root 1 with gain 2, so the longer row
+# projects to 3 x1 + x2; x0 = 0 fixes root 0, which the projection drops
+@example((3, [{0: 1, 1: -2}], {0: 1, 1: 1, 2: 1}, []))
+@example((3, [{0: 1}], {0: 1, 1: 1, 2: 1}, [{1: 1, 2: -1}]))
 @settings(max_examples=300, deadline=None)
-def test_rank_hands_off_at_the_first_longer_row(system):
-    # the echelon starts from the forest's basis rows, then takes the longer
-    # row and every row after it
+def test_longer_row_among_short_rows_matches_the_echelon(system):
+    # the short rows on both sides of the longer row go into the forest,
+    # and the longer row, projected onto the forest's free roots, into the
+    # echelon
     cols, before, longer, after = system
     rows = [*before, longer, *after]
     assert rank(rows, cols) == linalg._echelon(rows, cols).dim
+    matrix = [[get(row, j) for j in range(cols)] for row in rows]
+    assert dense(nullspace(rows, cols).basis, cols) == dense_nullspace(matrix, cols)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -607,3 +623,48 @@ def test_rank_of_preset_rows_matches_the_echelon(params, n):
     ):
         assert max(map(len, rows), default=0) <= 2
         assert rank(rows, order) == linalg._echelon(rows, order).dim
+
+
+def echelon_nullspace(rows, dimension):
+    """The nullspace by elimination alone: the echelon of every row, then
+    back-substitution, one vector per free column, and their span."""
+    ech = linalg._echelon(rows, dimension)
+    raw = []
+    for f in range(dimension):
+        if f in ech.rows:
+            continue
+        vec = {f: 1}
+        for p in ech.occurs.get(f, ()):
+            row = ech.rows[p]
+            vec[p] = -Fraction(row[f], row[p])
+        raw.append(vec)
+    return span(raw, dimension)
+
+
+# Roots of unity and b = 0 included: a^2 / b = -1 for (-1, 1), and (1/3, 0)
+# gives gains that are powers of 3, most of them Fractions.
+GENERIC = [
+    AlgebraParams(Fraction(2, 3), Fraction(1, 2)),
+    AlgebraParams(Fraction(2), Fraction(1, 3)),
+    AlgebraParams(Fraction(-1), Fraction(1)),
+    AlgebraParams(Fraction(1, 3), Fraction(0)),
+]
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [(params, n) for params in PRESETS for n in range(1, 7)]
+    + [(params, n) for params in GENERIC for n in range(1, 6)],
+    ids=[f"{name}-{n}" for name in PRESET_IDS for n in range(1, 7)]
+    + [f"{p.a},{p.b}-{n}" for p in GENERIC for n in range(1, 6)],
+)
+@pytest.mark.parametrize("twisted", [False, True], ids=["center", "twisted"])
+def test_nullspace_of_commutator_rows_matches_the_echelon(params, n, twisted):
+    # the center and the twisted center: the forest, with the longer rows
+    # of a generic pair projected onto its free roots, against elimination
+    # of every row
+    order = symmetric_group(n).order
+    rows = list(quotients._commutator_rows(n, params, twisted=twisted, transpose=True))
+    null = nullspace(rows, order)
+    assert null == echelon_nullspace(rows, order)
+    assert rank(rows, order) == order - null.dim
