@@ -14,7 +14,10 @@ processes; which one runs first alternates from pair to pair, so a drift of
 the host's speed falls on both sides.  For every
 end-to-end metric of BENCHMARK.json the file BENCH_<workload>.json records
 the median and quartiles on each side, and the number of pairs HEAD won; a
-tie counts for neither side.
+tie counts for neither side.  A metric is marked ``"resolved": false``, and
+named after the wins line, when the base side's quartiles span more than the
+metric's ``bound`` times its median and not every HEAD run beats every base
+run: such runs cannot tell a change of that size from noise.
 """
 
 from __future__ import annotations
@@ -62,6 +65,19 @@ def _wins(runs: list[dict], name: str, better: str) -> int:
     return sum(sign * (r["change"][name] - r["base"][name]) < 0 for r in runs)
 
 
+def _resolved(runs: list[dict], name: str, better: str, bound: float) -> bool:
+    """False when the base runs spread wider than the bound, (q3 - q1) /
+    median > bound, and the change did not beat every base run."""
+    base = [r["base"][name] for r in runs]
+    change = [r["change"][name] for r in runs]
+    spread = _summary(base)
+    if spread["q3"] - spread["q1"] <= bound * abs(spread["median"]):
+        return True
+    if better == "lower":
+        return max(change) < min(base)
+    return min(change) > max(base)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -100,6 +116,7 @@ def main() -> int:
             "base": _summary([r["base"][name] for r in runs]),
             "change": _summary([r["change"][name] for r in runs]),
             "wins": _wins(runs, name, m["better"]),
+            "resolved": _resolved(runs, name, m["better"], m["bound"]),
         }
     out = {
         "workload": args.workload,
@@ -114,6 +131,8 @@ def main() -> int:
     target = ROOT / f"BENCH_{args.workload}.json"
     target.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     print(json.dumps({name: s["wins"] for name, s in summary.items()}))
+    if unresolved := [name for name, s in summary.items() if not s["resolved"]]:
+        print("unresolved: " + ", ".join(unresolved))
     print(f"wrote {target}", file=sys.stderr)
     return 0
 

@@ -116,7 +116,6 @@ class CenterBasis:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
 def nc_center_basis(n: int) -> CenterBasis:
     """The Nilcoxeter center basis: for each nonzero class c the sum of the
     complements T_{w^{-1} w0} of its members.

@@ -6,8 +6,10 @@ and results leave it as ``fractions.Fraction``s (arbitrary-precision, always
 in lowest terms with positive denominator).  No floating point is used
 anywhere in this module.  ``rank`` and ``nullspace`` put every row of at
 most two entries, wherever it comes, into one weighted union-find with int
-or ``Fraction`` gains, whose finds halve paths inside its row loop.  Only
-the longer rows, projected onto the forest's free roots, are eliminated;
+or ``Fraction`` gains, whose finds halve paths inside its row loop; one
+extra column, a sink held at 0, takes the components the rows force to 0,
+as ``quotients.mobius_classes`` does for the zero class.  Only the longer
+rows, projected onto the forest's free roots, are eliminated;
 the presets' constraint rows have none, so their rank and their nullspace
 are read off the forest alone.
 
@@ -283,77 +285,40 @@ def span(vectors: Iterable[_Row], dimension: int) -> Subspace:
 
 def _forest(
     rows: Iterable[_Row], dimension: int
-) -> tuple[list[int], list[Fraction | int], bytearray, int, list[_Row]]:
+) -> tuple[list[int], list[Fraction | int], int, list[_Row]]:
     """The weighted union-find of the rows with at most two entries, and
     the longer rows, kept as they are.
 
-    Returns ``(parent, gain, fixed, found, longer)``.  The rows of at most
-    two entries are the incidence matrix of a signed graph, whatever their
+    Returns ``(parent, gain, found, longer)``.  The rows of at most two
+    entries are the incidence matrix of a signed graph, whatever their
     place in the sequence.  On their common nullspace a tied column v has
     x_v = gain[v] * x_parent[v], an int or a ``Fraction``; a root is its own
     parent and the largest column of its tree, so every parent lies right of
-    its child.  Each find halves the path it walks, in the row loop itself:
-    a column whose parent is not a root is moved up to its grandparent, its
-    gain first multiplied by its parent's.  A one-entry row fixes its
-    component at 0 (``fixed`` marks the root), and so does a two-entry row
-    that closes a cycle whose gains do not match.  ``found`` counts the rows
-    that join two components or fix a free one: the rank of the short rows,
-    ``dimension`` minus the number of free components.  Every row is checked
-    as the echelon checks it, with the same messages.
+    its child.  Column ``dimension`` is a sink held at 0, always a root: a
+    one-entry row joins its column's tree to it by the same find and union
+    as a two-entry row, and so does a two-entry row that closes a cycle
+    whose gains do not match.  A root put under the sink gets no gain, and a
+    cycle on the sink's tree adds nothing.  Each find halves the path it
+    walks, in the row loop itself: a column whose parent is not a root is
+    moved up to its grandparent, its gain first multiplied by its parent's.
+    ``found`` counts the unions: the rank of the short rows, ``dimension``
+    minus the number of free components.  Every row is checked as the
+    echelon checks it, with the same messages.
     """
-    parent = list(range(dimension))
-    gain: list[Fraction | int] = [1] * dimension
-    fixed = bytearray(dimension)
+    parent = list(range(dimension + 1))
+    gain: list[Fraction | int] = [1] * (dimension + 1)
     found = 0
     longer = []
     for row in rows:
         items = row.items()
         if len(items) == 2:
             (a, c), (b, d) = items
-            if not (0 <= a < dimension and 0 <= b < dimension):
+            if not 0 <= b < dimension:
                 raise ValueError(f"row index outside dimension {dimension}")
-            if not (c and d):
-                raise ValueError("zero entry in a row")
-            ga = gb = 1
-            while (p := parent[a]) != a:
-                if (q := parent[p]) != p:
-                    gain[a] *= gain[p]
-                    parent[a] = q
-                ga *= gain[a]
-                a = q
-            while (p := parent[b]) != b:
-                if (q := parent[p]) != p:
-                    gain[b] *= gain[p]
-                    parent[b] = q
-                gb *= gain[b]
-                b = q
-            if a != b:
-                if a > b:
-                    a, b, c, d, ga, gb = b, a, d, c, gb, ga
-                if fixed[a] and fixed[b]:
-                    continue
-                # c * ga * x_a + d * gb * x_b = 0 puts root a under root b
-                num, den = -d * gb, c * ga
-                gain[a] = num // den if not num % den else Fraction(num, den)
-                parent[a] = b
-                if fixed[a]:
-                    fixed[b] = 1
-                found += 1
-                continue
-            # the row is (c * ga + d * gb) * x_a
-            if not c * ga + d * gb:
-                continue
         elif len(items) == 1:
+            # c * x_a = 0 ties column a to the sink
             ((a, c),) = items
-            if not 0 <= a < dimension:
-                raise ValueError(f"row index outside dimension {dimension}")
-            if not c:
-                raise ValueError("zero entry in a row")
-            while (p := parent[a]) != a:
-                if (q := parent[p]) != p:
-                    gain[a] *= gain[p]
-                    parent[a] = q
-                a = q
+            b, d = dimension, 1
         elif items:
             if not 0 <= min(row) <= max(row) < dimension:
                 raise ValueError(f"row index outside dimension {dimension}")
@@ -363,18 +328,41 @@ def _forest(
             continue
         else:
             continue
-        if not fixed[a]:
-            fixed[a] = 1
-            found += 1
-    return parent, gain, fixed, found, longer
+        if not 0 <= a < dimension:
+            raise ValueError(f"row index outside dimension {dimension}")
+        if not (c and d):
+            raise ValueError("zero entry in a row")
+        ga = gb = 1
+        while (p := parent[a]) != a:
+            if (q := parent[p]) != p:
+                gain[a] *= gain[p]
+                parent[a] = q
+            ga *= gain[a]
+            a = q
+        while (p := parent[b]) != b:
+            if (q := parent[p]) != p:
+                gain[b] *= gain[p]
+                parent[b] = q
+            gb *= gain[b]
+            b = q
+        if a == b:
+            # the row is (c * ga + d * gb) * x_a
+            if a == dimension or not c * ga + d * gb:
+                continue
+            b = dimension
+        elif a > b:
+            a, b, c, d, ga, gb = b, a, d, c, gb, ga
+        parent[a] = b
+        found += 1
+        if b != dimension:
+            # c * ga * x_a + d * gb * x_b = 0 puts root a under root b
+            num, den = -d * gb, c * ga
+            gain[a] = num // den if not num % den else Fraction(num, den)
+    return parent, gain, found, longer
 
 
 def _root_echelon(
-    parent: list[int],
-    gain: list[Fraction | int],
-    fixed: bytearray,
-    longer: list[_Row],
-    dimension: int,
+    parent: list[int], gain: list[Fraction | int], longer: list[_Row], dimension: int
 ) -> _Echelon:
     """Point every column of the forest at its root, then the echelon of the
     longer rows projected onto the free roots, each distinct projection up
@@ -383,8 +371,8 @@ def _root_echelon(
     Highest column first, so each parent p > v already points at its root
     with its gain to it; a column whose parent is a root keeps its gain.  On
     the short rows' nullspace x_v = gain[v] * x_root(v), and x_root is 0 for
-    a fixed root, so a longer row sum(c_v * x_v) is
-    sum(c_v * gain[v] * x_root(v)) over the free roots.
+    the sink, so a longer row sum(c_v * x_v) is sum(c_v * gain[v] *
+    x_root(v)) over the roots other than ``dimension``.
     """
     for v in range(dimension - 1, -1, -1):
         if (r := parent[p := parent[v]]) != p:
@@ -400,8 +388,7 @@ def _root_echelon(
             longer[i] = None
             out = {}
             for v, c in row.items():
-                r = parent[v]
-                if fixed[r]:
+                if (r := parent[v]) == dimension:
                     continue
                 # c * gain[v] is nonzero, so a zero sum cancels an entry
                 if x := out.get(r, 0) + c * gain[v]:
@@ -423,35 +410,35 @@ def rank(vectors: Iterable[_Row], dimension: int) -> int:
     The rows of at most two entries go into a weighted union-find (see
     ``_forest``), which gives their rank with no elimination; the presets'
     rows are all of that kind, so their rank is read off the forest alone.
-    The longer rows, projected onto the forest's free roots and with
+    The longer rows, projected onto the roots other than the sink and with
     repeated projections dropped, go to the echelon, and its rank adds to
     the forest's.
     """
-    parent, gain, fixed, found, longer = _forest(vectors, dimension)
+    parent, gain, found, longer = _forest(vectors, dimension)
     if not longer:
         return found
-    return found + _root_echelon(parent, gain, fixed, longer, dimension).dim
+    return found + _root_echelon(parent, gain, longer, dimension).dim
 
 
 def nullspace(vectors: Iterable[_Row], dimension: int) -> Subspace:
     """The space of x with ``row . x = 0`` for every input row.
 
     The short rows' nullspace is parametrized by the free roots of their
-    union-find (see ``_forest``), x_v = gain[v] * y_root(v), and the longer
-    rows, projected onto those roots, are the equations y must meet.  Each
-    free root f that is not a pivot of their echelon gives one y, 1 at f
-    and -row[f] / row[p] at each pivot p whose row holds f; it is lifted to
-    x and the result is the span of the lifted vectors.  With no longer
-    row, as for the presets, there is one vector per free component, and
-    their supports are disjoint.
+    union-find (see ``_forest``), every root but the sink ``dimension``:
+    x_v = gain[v] * y_root(v), and the longer rows, projected onto those
+    roots, are the equations y must meet.  Each free root f that is not a
+    pivot of their echelon gives one y, 1 at f and -row[f] / row[p] at each
+    pivot p whose row holds f; it is lifted to x and the result is the span
+    of the lifted vectors.  With no longer row, as for the presets, there is
+    one vector per free component, and their supports are disjoint.
     """
-    parent, gain, fixed, _, longer = _forest(vectors, dimension)
-    ech = _root_echelon(parent, gain, fixed, longer, dimension)
+    parent, gain, _, longer = _forest(vectors, dimension)
+    ech = _root_echelon(parent, gain, longer, dimension)
     # a root is the largest column of its tree, so the free roots come in
     # highest first, the order in which span's echelon takes them fastest
     members: dict[int, list[int]] = {}
     for v in range(dimension - 1, -1, -1):
-        if not fixed[r := parent[v]]:
+        if (r := parent[v]) != dimension:
             members.setdefault(r, []).append(v)
 
     def lifted():

@@ -71,7 +71,6 @@ def clear_caches():
     quotients_mod.mobius_classes.cache_clear()
     center_mod.center.cache_clear()
     center_mod.twisted_center.cache_clear()
-    center_mod.nc_center_basis.cache_clear()
     center_mod.dual_center_basis.cache_clear()
 
 

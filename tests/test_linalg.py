@@ -572,7 +572,7 @@ def short_rows(cols, max_rows=12):
 # A chain fed leaf-first, x0 = 2 x1, x1 = x2 / 3 and x2 = -3/2 x3, puts
 # 0 -> 1 -> 2 -> 3 under the largest root, so x0 = -x3; the last row's find
 # from the leaf halves that path.  x0 + x3 then closes a balanced cycle and
-# x0 + 2 x3 an unbalanced one, which fixes the component.
+# x0 + 2 x3 an unbalanced one, which puts the tree under the sink.
 _CHAIN = [{0: 1, 1: -2}, {1: 1, 2: Fraction(-1, 3)}, {2: 2, 3: 3}]
 
 
@@ -580,6 +580,14 @@ _CHAIN = [{0: 1, 1: -2}, {1: 1, 2: Fraction(-1, 3)}, {2: 2, 3: 3}]
     lambda cols: st.tuples(st.just(cols), short_rows(cols))))
 @example((4, [*_CHAIN, {0: 1, 3: 1}]))
 @example((4, [*_CHAIN, {0: 1, 3: 2}]))
+# x1 = 0 on the tree the unbalanced cycle already holds at 0 adds no rank
+@example((4, [*_CHAIN, {0: 1, 3: 2}, {1: 1}]))
+# {0, 1} is held at 0 by a one-entry row and {2, 3, 4} by the unbalanced
+# cycle x2 + 2 x4 = x4; x1 + x4 then joins two trees under the sink
+@example((5, [{0: 1, 1: 1}, {1: 3}, {2: 1, 3: -1}, {3: 1, 4: 1}, {2: 1, 4: 2}, {1: 1, 4: 1}]))
+# x1 + x0 finds the sink from its first column, so the sink must stay the
+# root; were it put under column 0, 2 x0 would close a cycle counted as rank
+@example((2, [{1: 1}, {1: 1, 0: 1}, {0: 2}]))
 @settings(max_examples=300, deadline=None)
 def test_rank_of_short_rows_matches_the_echelon(system):
     cols, rows = system
@@ -596,9 +604,13 @@ def test_rank_of_short_rows_matches_the_echelon(system):
         short_rows(cols, max_rows=6),
     )))
 # x0 = 2 x1 puts column 0 under root 1 with gain 2, so the longer row
-# projects to 3 x1 + x2; x0 = 0 fixes root 0, which the projection drops
+# projects to 3 x1 + x2; x0 = 0 puts column 0 under the sink, which the
+# projection drops
 @example((3, [{0: 1, 1: -2}], {0: 1, 1: 1, 2: 1}, []))
 @example((3, [{0: 1}], {0: 1, 1: 1, 2: 1}, [{1: 1, 2: -1}]))
+# 3 x0 = 0, after the longer row, puts the tree {0, 1, 3} under the sink, so
+# the longer row projects to x2 alone and only column 3 is free
+@example((4, [{0: 1, 1: -2}, {1: 1, 3: 1}], {0: 1, 1: 1, 2: 1}, [{0: 3}]))
 @settings(max_examples=300, deadline=None)
 def test_longer_row_among_short_rows_matches_the_echelon(system):
     # the short rows on both sides of the longer row go into the forest,
